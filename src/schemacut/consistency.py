@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -50,7 +51,7 @@ class CcInstance:
             if not chain:
                 raise SchemaError("forbidden join chain must be non-empty")
 
-    @property
+    @cached_property
     def universe(self) -> frozenset:
         edges = set()
         for chain in self.forbidden_chains:

@@ -49,9 +49,6 @@ class DecomposedSchema:
     new_forbidden: tuple[AttributeSet, ...]
     lost_dependencies: tuple[FunctionalDependency, ...]
 
-    def fragments_of(self, relation_name: str) -> tuple[Fragment, ...]:
-        return tuple(f for f in self.fragments if f.source_relation == relation_name)
-
 
 def minimal_hitting_sets(sets: Sequence[frozenset]) -> list[frozenset]:
     """All inclusion-minimal hitting sets of ``sets`` (each must be non-empty)."""

@@ -6,11 +6,15 @@ the decomposed dependencies plus one containment edge from each vertex to
 every strictly contained vertex (the projection dependencies).  Derived
 transitive dependencies are *not* materialised as edges; reachability
 carries them, which reproduces the base graph exactly.
+
+Each graph indexes its edges once, on first use, as ``Fdg.children`` and
+``Fdg.parents``; every walk over the graph reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .closure import decompose_fds
@@ -18,6 +22,8 @@ from .model import AttributeSet, Schema
 
 EdgeRef = tuple[AttributeSet, AttributeSet]
 """An edge is identified by its (source attrs, destination attrs) pair."""
+
+Adjacency = Mapping[AttributeSet, tuple[tuple[AttributeSet, EdgeRef], ...]]
 
 KIND_SINGLE = "single-attribute"
 KIND_LHS = "lhs-set"
@@ -53,18 +59,22 @@ class Fdg:
     vertices: tuple[FdgVertex, ...]
     edges: tuple[FdgEdge, ...]
 
-    def vertex_attrs(self) -> tuple[AttributeSet, ...]:
-        return tuple(v.attrs for v in self.vertices)
+    @cached_property
+    def children(self) -> Adjacency:
+        """Per vertex, its (child, edge ref) pairs in vertex order."""
+        return self._index(lambda edge: (edge.src, edge.dst))
 
-    def has_vertex(self, attrs: AttributeSet) -> bool:
-        return any(v.attrs == attrs for v in self.vertices)
+    @cached_property
+    def parents(self) -> Adjacency:
+        """Per vertex, its (parent, edge ref) pairs in vertex order."""
+        return self._index(lambda edge: (edge.dst, edge.src))
 
-    def out_adjacency(self) -> Mapping[AttributeSet, tuple[EdgeRef, ...]]:
-        """Outgoing edges per vertex, neighbours in vertex order."""
-        adj: dict[AttributeSet, list[EdgeRef]] = {v.attrs: [] for v in self.vertices}
+    def _index(self, ends) -> Adjacency:
+        adj: dict[AttributeSet, list] = {v.attrs: [] for v in self.vertices}
         for edge in self.edges:
-            adj[edge.src].append(edge.ref)
-        return {src: tuple(sorted(refs, key=lambda r: r[1])) for src, refs in adj.items()}
+            here, there = ends(edge)
+            adj[here].append((there, edge.ref))
+        return {v: tuple(sorted(pairs)) for v, pairs in adj.items()}
 
 
 def build_fdg(schema: Schema) -> Fdg:
@@ -109,21 +119,22 @@ def build_fdg(schema: Schema) -> Fdg:
     return Fdg(vertices, edges)
 
 
+def reachable(adjacency: Adjacency, start: AttributeSet) -> set[AttributeSet]:
+    """Vertices reachable from ``start`` over ``adjacency``, ``start`` included."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt, _ in adjacency[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
 def transitive_closure_pairs(fdg: Fdg) -> frozenset[tuple[AttributeSet, AttributeSet]]:
     """All ordered (src, dst) vertex pairs with dst reachable from src, src != dst."""
-    adj = fdg.out_adjacency()
-    pairs: set[tuple[AttributeSet, AttributeSet]] = set()
-    for start in adj:
-        seen = {start}
-        stack = [start]
-        while stack:
-            here = stack.pop()
-            for _, nxt in adj[here]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-                    pairs.add((start, nxt))
-    return frozenset(pairs)
+    adj = fdg.children
+    return frozenset((start, end) for start in adj for end in reachable(adj, start) if end != start)
 
 
 def export_dot(fdg: Fdg, highlight: Iterable[EdgeRef] | None = None) -> str:

@@ -2,7 +2,7 @@
 
 A join chain for an attribute set is the edge union of one simple path
 per target attribute, all starting from one common ancestor vertex.  The
-enumeration works on the reversed graph (one DFS per target), combines
+enumeration walks each target's parents (one iterative DFS each), combines
 paths per shared end vertex, and discards chains that contain another
 chain.  A target that is itself the ancestor contributes an empty path.
 """
@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .fdg import EdgeRef, Fdg, FdgEdge
+from .fdg import Adjacency, EdgeRef, Fdg, FdgEdge
 from .model import AttributeSet, SchemaError, attr_set
 
 
@@ -71,42 +71,51 @@ def reverse_graph(fdg: Fdg) -> Fdg:
     return Fdg(fdg.vertices, edges)
 
 
-def enumerate_simple_paths(
-    fdg: Fdg, start: AttributeSet, limits: PathLimits | None = None
-) -> SimplePaths:
-    """All simple paths from ``start``, grouped by end vertex.
+def walk_simple_paths(adjacency: Adjacency, start: AttributeSet, limits: PathLimits) -> SimplePaths:
+    """All simple paths from ``start`` over ``adjacency``, grouped by end vertex.
 
-    The start maps to the single empty path.  Neighbour order follows
-    vertex order, so the output is deterministic.
+    The start maps to the single empty path.  Paths hold the refs stored in
+    ``adjacency`` and are found depth-first, neighbours in adjacency order,
+    so the output is deterministic.
     """
-    limits = limits or PathLimits()
-    if not fdg.has_vertex(start):
-        raise SchemaError(f"unknown vertex {''.join(start)!r}")
-    max_len = limits.max_path_length or max(len(fdg.vertices), 1)
-    adj = fdg.out_adjacency()
-
+    max_len = limits.max_path_length or max(len(adjacency), 1)
     paths: dict[AttributeSet, list[tuple[EdgeRef, ...]]] = {start: [()]}
     truncated = False
-
-    def walk(here: AttributeSet, trail: tuple[EdgeRef, ...], seen: frozenset) -> None:
-        nonlocal truncated
-        for ref in adj[here]:
-            nxt = ref[1]
-            if nxt in seen:
+    trail: list[EdgeRef] = []
+    on_trail = {start}
+    stack = [(start, iter(adjacency[start]))]
+    while stack:
+        here, pending = stack[-1]
+        for nxt, ref in pending:
+            if nxt in on_trail:
                 continue
-            if len(trail) + 1 > max_len:
+            if len(trail) >= max_len:
                 truncated = True
                 continue
-            extended = trail + (ref,)
+            trail.append(ref)
             bucket = paths.setdefault(nxt, [])
             if len(bucket) >= limits.max_paths_per_target:
                 truncated = True
             else:
-                bucket.append(extended)
-            walk(nxt, extended, seen | {nxt})
-
-    walk(start, (), frozenset({start}))
+                bucket.append(tuple(trail))
+            on_trail.add(nxt)
+            stack.append((nxt, iter(adjacency[nxt])))
+            break
+        else:
+            stack.pop()
+            if stack:
+                on_trail.remove(here)
+                trail.pop()
     return SimplePaths(start, {k: tuple(v) for k, v in paths.items()}, truncated)
+
+
+def enumerate_simple_paths(
+    fdg: Fdg, start: AttributeSet, limits: PathLimits | None = None
+) -> SimplePaths:
+    """All simple paths from ``start`` along the edges, grouped by end vertex."""
+    if start not in fdg.children:
+        raise SchemaError(f"unknown vertex {''.join(start)!r}")
+    return walk_simple_paths(fdg.children, start, limits or PathLimits())
 
 
 def join_chains(
@@ -116,20 +125,17 @@ def join_chains(
 
     Every target must exist as a single-attribute vertex.  For each common
     ancestor, every combination of one simple path per target yields a
-    candidate chain (edges restored to the original orientation); identical
-    edge sets collapse and chains containing another chain are dropped.
+    candidate chain; identical edge sets collapse and chains containing
+    another chain are dropped.
     """
     limits = limits or PathLimits()
     source_set = attr_set(targets)
     target_vertices = [(name,) for name in source_set]
     for tv in target_vertices:
-        if not fdg.has_vertex(tv):
+        if tv not in fdg.parents:
             raise SchemaError(f"unknown target attribute {tv[0]!r}")
 
-    reversed_fdg = reverse_graph(fdg)
-    per_target = {
-        tv: enumerate_simple_paths(reversed_fdg, tv, limits) for tv in target_vertices
-    }
+    per_target = {tv: walk_simple_paths(fdg.parents, tv, limits) for tv in target_vertices}
     truncated = any(sp.truncated for sp in per_target.values())
 
     ancestors = sorted(
@@ -146,9 +152,7 @@ def join_chains(
             if count >= limits.max_paths_per_target:
                 truncated = True
                 break
-            edges = frozenset(
-                (ref[1], ref[0]) for path in combo for ref in path
-            )
+            edges = frozenset(ref for path in combo for ref in path)
             if edges not in seen:
                 seen.add(edges)
                 chains.append(JoinChain(edges, ancestor, source_set))

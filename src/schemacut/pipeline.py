@@ -8,17 +8,18 @@ the selection backwards, an edge goes when every forbidden chain stays
 hit without it; fewer constraints keep more associations), turns the
 remaining cut edges into new forbidden co-occurrences, and decomposes
 every relation.  The report's ``consistency.cut`` is the cut as decided,
-before reverse-delete.  The result is then *verified*: the graph is
-rebuilt over the fragments and every forbidden set must have no join
-chain and no hosting fragment.
+before reverse-delete.  The result is then *verified* by reachability,
+which no path bound limits: on the graph rebuilt over the fragments, no
+vertex (a fragment hosting the set is one) may reach all of a forbidden set.
 
 Verification is load-bearing, not decorative.  A cut through a composite
 vertex's containment edge only bans the full composite, so smaller
 fragments can keep the association alive; when verification finds such a
-surviving chain the pipeline cuts again on the rebuilt graph and
-re-decomposes until secure.  Required-set survival is also re-checked on
-the final fragments; failures downgrade the report with a warning rather
-than passing silently.
+surviving association the pipeline cuts again on the rebuilt graph and
+re-decomposes until secure, or until the bounded chain enumeration finds
+nothing new to cut, which the report flags as not secure.  Required-set
+survival is also re-checked on the final fragments; failures downgrade
+the report with a warning rather than passing silently.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .decompose import (
     assemble,
     decompose_relation,
 )
-from .fdg import Fdg, build_fdg
+from .fdg import Fdg, build_fdg, reachable
 from .joinchain import PathLimits, join_chains
 from .model import AttributeSet, Policy, Relation, Schema, preprocess_policy
 
@@ -75,47 +76,29 @@ def fragment_schema(result: DecomposedSchema, schema: Schema) -> Schema:
     return Schema(relations, kept, schema.attribute_names)
 
 
+def _associable(fdg: Fdg, attrs: AttributeSet) -> bool:
+    """Whether one vertex of ``fdg`` reaches every attribute of ``attrs``."""
+    common = None
+    for name in attrs:
+        ancestors = reachable(fdg.parents, (name,)) if (name,) in fdg.parents else set()
+        common = ancestors if common is None else common & ancestors
+        if not common:
+            return False
+    return True
+
+
 def verify_decomposition(
-    result: DecomposedSchema,
-    schema: Schema,
-    policy: Policy,
-    limits: PathLimits | None = None,
+    result: DecomposedSchema, schema: Schema, policy: Policy
 ) -> tuple[bool, tuple[tuple[AttributeSet, bool], ...]]:
     """Check the decomposition against the policy on the rebuilt graph.
 
-    Secure iff no fragment contains a forbidden set and every forbidden
-    set's chain family over the fragment graph is empty.  Each required
-    set is flagged with whether it still has a join chain.
+    Secure iff no forbidden set is associable over the fragment graph.
+    Each required set is flagged with whether it is still associable.
     """
     new_fdg = build_fdg(fragment_schema(result, schema))
-    secure = True
-    for forbidden in policy.forbidden:
-        if any(set(forbidden) <= set(frag.attrs) for frag in result.fragments):
-            secure = False
-            break
-        if join_chains(new_fdg, forbidden, limits).chains:
-            secure = False
-            break
-    required_flags = tuple(
-        (req, bool(join_chains(new_fdg, req, limits).chains))
-        for req in policy.required
-    )
+    secure = not any(_associable(new_fdg, forbidden) for forbidden in policy.forbidden)
+    required_flags = tuple((req, _associable(new_fdg, req)) for req in policy.required)
     return secure, required_flags
-
-
-def _surviving_forbidden_families(
-    result: DecomposedSchema,
-    schema: Schema,
-    policy: Policy,
-    limits: PathLimits | None,
-) -> tuple[Fdg, list]:
-    new_fdg = build_fdg(fragment_schema(result, schema))
-    families = [
-        fam
-        for fam in (join_chains(new_fdg, f, limits) for f in policy.forbidden)
-        if fam.chains
-    ]
-    return new_fdg, families
 
 
 def secure_decompose(
@@ -129,8 +112,8 @@ def secure_decompose(
     """Produce a verified secure decomposition of the schema's relations.
 
     An inconsistent policy yields a report with no fragments rather than
-    an exception.  Truncated chain enumerations and any extra cut rounds
-    are surfaced as warnings.
+    an exception.  Truncated chain enumerations, any extra cut rounds and
+    associations the re-cut cannot break are surfaced as warnings.
     """
     schema, policy, warnings = preprocess_policy(schema, policy)
     warnings = list(warnings)
@@ -140,9 +123,7 @@ def secure_decompose(
     required_families = [join_chains(fdg, s, limits) for s in policy.required]
     for fam in forbidden_families + required_families:
         if fam.truncated:
-            warnings.append(
-                f"join chain enumeration for {{{', '.join(fam.source_set)}}} was truncated"
-            )
+            warnings.append(f"join chain enumeration for {_braced([fam.source_set])} was truncated")
 
     instance = make_instance(
         [chain.edges for fam in forbidden_families for chain in fam.chains],
@@ -170,32 +151,34 @@ def secure_decompose(
             effective.append(s)
 
     result = _decompose_all(schema, effective, new_forbidden, dfds, max_width)
-    secure, required_flags = verify_decomposition(result, schema, policy, limits)
+    secure, required_flags = verify_decomposition(result, schema, policy)
 
     rounds = 0
     while not secure:
         rounds += 1
         if rounds > _MAX_RECUT_ROUNDS:
             raise RuntimeError("re-cut did not converge")
-        new_fdg, surviving = _surviving_forbidden_families(result, schema, policy, limits)
-        extra_cut = greedy_cut(surviving, new_fdg)
+        new_fdg = build_fdg(fragment_schema(result, schema))
+        unbroken = [s for s in policy.forbidden if _associable(new_fdg, s)]
+        extra_cut = greedy_cut([join_chains(new_fdg, s, limits) for s in unbroken], new_fdg)
         extra_sets = edges_to_forbidden_sets(extra_cut, new_fdg)
         progress = [s for s in extra_sets if s not in effective]
         if not progress:
-            raise RuntimeError("re-cut made no progress")
+            warnings.append(f"re-cut found no new cut; still associable: {_braced(unbroken)}")
+            break
         warnings.append(
             "additional co-occurrence constraints were needed to break surviving "
-            + "associations: " + ", ".join("{" + ", ".join(s) + "}" for s in progress)
+            + "associations: " + _braced(progress)
         )
         effective.extend(progress)
         new_forbidden.extend(progress)
         result = _decompose_all(schema, effective, new_forbidden, dfds, max_width)
-        secure, required_flags = verify_decomposition(result, schema, policy, limits)
+        secure, required_flags = verify_decomposition(result, schema, policy)
 
     for req, ok in required_flags:
         if not ok:
             warnings.append(
-                f"required set {{{', '.join(req)}}} is no longer associable after decomposition"
+                f"required set {_braced([req])} is no longer associable after decomposition"
             )
 
     return DecompositionReport(
@@ -205,6 +188,10 @@ def secure_decompose(
         required_verified=required_flags,
         warnings=tuple(warnings),
     )
+
+
+def _braced(sets) -> str:
+    return ", ".join("{" + ", ".join(s) + "}" for s in sets)
 
 
 def _decompose_all(schema, effective, new_forbidden, dfds, max_width) -> DecomposedSchema:

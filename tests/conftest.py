@@ -55,6 +55,22 @@ def random_schema(rng: random.Random, max_attrs: int = 12, max_relations: int = 
     return make_schema(relations, fds)
 
 
+def fd_chain_schema(steps: int):
+    """An FD chain a0 -> a1 -> ... -> a<steps>.
+
+    Relations hold 24 consecutive attributes (the default width bound),
+    neighbours sharing one, which keeps the graph near one vertex per step.
+    """
+    width = 24
+    attrs = [f"a{i}" for i in range(steps + 1)]
+    relations = [
+        (f"R{j}", attrs[start:start + width], [attrs[start]])
+        for j, start in enumerate(range(0, steps, width - 1))
+    ]
+    fds = [([attrs[i]], [attrs[i + 1]]) for i in range(steps)]
+    return make_schema(relations, fds)
+
+
 def random_policy(rng: random.Random, schema: Schema, max_sets: int = 3):
     pool = list(schema.attribute_names)
     sets = []

@@ -268,5 +268,6 @@ def test_cc_document_parsing():
     instance = load_cc_doc({"forbidden": [["a", "b"]], "required": [[["c"]]]})
     assert instance.forbidden_chains == (frozenset({"a", "b"}),)
     assert instance.universe == frozenset({"a", "b", "c"})
+    assert instance.universe is instance.universe
     with pytest.raises(SchemaError, match="unknown key"):
         load_cc_doc({"forbidden": [], "required": [], "extra": 1})

@@ -75,6 +75,29 @@ def test_build_is_deterministic(example2):
     assert export_dot(build_fdg(schema)) == export_dot(build_fdg(schema))
 
 
+def test_adjacency_index_lists_every_edge_in_vertex_order(ex1_fdg, ex2_fdg):
+    for fdg in (ex1_fdg, ex2_fdg):
+        vertices = {v.attrs for v in fdg.vertices}
+        assert set(fdg.children) == set(fdg.parents) == vertices
+        by_child = sorted(ref for pairs in fdg.children.values() for _, ref in pairs)
+        by_parent = sorted(ref for pairs in fdg.parents.values() for _, ref in pairs)
+        assert by_child == by_parent == sorted(e.ref for e in fdg.edges)
+        for v in vertices:
+            assert all(ref == (v, child) for child, ref in fdg.children[v])
+            assert all(ref == (parent, v) for parent, ref in fdg.parents[v])
+            assert [c for c, _ in fdg.children[v]] == sorted(c for c, _ in fdg.children[v])
+            assert [p for p, _ in fdg.parents[v]] == sorted(p for p, _ in fdg.parents[v])
+
+
+def test_adjacency_index_is_built_once_and_leaves_equality_alone(example2):
+    schema, _ = example2
+    indexed, plain = build_fdg(schema), build_fdg(schema)
+    assert indexed.children is indexed.children
+    assert indexed.parents is indexed.parents
+    assert indexed == plain
+    assert hash(indexed) == hash(plain)
+
+
 def test_closure_pairs_example1(ex1_fdg):
     pairs = transitive_closure_pairs(ex1_fdg)
     assert (V("AE"), V("B")) in pairs

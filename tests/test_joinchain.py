@@ -14,8 +14,9 @@ from schemacut import (
     make_schema,
     reverse_graph,
 )
+from schemacut.joinchain import walk_simple_paths
 
-from .conftest import random_schema
+from .conftest import fd_chain_schema, random_schema
 from .goldens import (
     EX1_FB_CHAINS,
     EX2_AD_CHAINS,
@@ -215,3 +216,72 @@ def test_matches_brute_force_on_random_graphs():
         got = set(join_chains(fdg, targets).edge_sets())
         assert got == brute_force_chains(fdg, targets)
         checked += 1
+
+
+def test_parents_walk_matches_reversed_graph_enumeration():
+    # The reference walks the reversed copy; its refs come out reversed.
+    rng = random.Random(47)
+    for _ in range(150):
+        fdg = build_fdg(random_schema(rng))
+        reference_graph = reverse_graph(fdg)
+        for vertex in fdg.vertices:
+            got = walk_simple_paths(fdg.parents, vertex.attrs, PathLimits())
+            want = enumerate_simple_paths(reference_graph, vertex.attrs)
+            flipped = {
+                end: tuple(tuple((dst, src) for src, dst in path) for path in paths)
+                for end, paths in want.paths.items()
+            }
+            assert list(got.paths.items()) == list(flipped.items())
+            assert got.truncated == want.truncated
+
+
+def recursive_simple_paths(fdg, start, limits):
+    """Reference: the depth-first recursion that the iterative walk replaced."""
+    adjacency = {v.attrs: [] for v in fdg.vertices}
+    for edge in sorted(fdg.edges, key=lambda e: e.dst):
+        adjacency[edge.src].append(edge.ref)
+    max_len = limits.max_path_length or max(len(fdg.vertices), 1)
+    paths = {start: [()]}
+    truncated = False
+
+    def walk(here, trail, seen):
+        nonlocal truncated
+        for ref in adjacency[here]:
+            if ref[1] in seen:
+                continue
+            if len(trail) + 1 > max_len:
+                truncated = True
+                continue
+            bucket = paths.setdefault(ref[1], [])
+            if len(bucket) >= limits.max_paths_per_target:
+                truncated = True
+            else:
+                bucket.append(trail + (ref,))
+            walk(ref[1], trail + (ref,), seen | {ref[1]})
+
+    walk(start, (), frozenset({start}))
+    return [(end, tuple(found)) for end, found in paths.items()], truncated
+
+
+def test_walk_matches_recursive_reference():
+    rng = random.Random(53)
+    all_limits = (PathLimits(), PathLimits(max_paths_per_target=2), PathLimits(max_path_length=2))
+    for _ in range(100):
+        fdg = build_fdg(random_schema(rng))
+        for vertex in fdg.vertices:
+            for limits in all_limits:
+                got = enumerate_simple_paths(fdg, vertex.attrs, limits)
+                want = recursive_simple_paths(fdg, vertex.attrs, limits)
+                assert (list(got.paths.items()), got.truncated) == want
+
+
+def test_long_fd_chain_is_walked_without_recursion():
+    steps = 1200
+    fdg = build_fdg(fd_chain_schema(steps))
+    down = enumerate_simple_paths(fdg, ("a0",))
+    assert len(down.paths) == steps + 1
+    assert len(down.paths[(f"a{steps}",)][0]) == steps
+    family = join_chains(fdg, ["a0", f"a{steps}"])
+    assert not family.truncated
+    fd_path = frozenset(((f"a{i}",), (f"a{i + 1}",)) for i in range(steps))
+    assert fd_path in family.edge_sets()

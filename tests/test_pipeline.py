@@ -5,7 +5,9 @@ import random
 from schemacut import (
     DecomposedSchema,
     Fragment,
+    PathLimits,
     decompose_fds,
+    fragment_schema,
     greedy_cut,
     join_chains,
     build_fdg,
@@ -17,7 +19,7 @@ from schemacut import (
     verify_decomposition,
 )
 
-from .conftest import random_policy, random_schema
+from .conftest import fd_chain_schema, random_policy, random_schema
 from .goldens import EX2_NEW_FORBIDDEN, EX2_RELAXED_FRAGMENTS, V
 
 
@@ -115,6 +117,56 @@ def test_fragment_containing_forbidden_set_fails(example0):
     )
     secure, _ = verify_decomposition(result, schema, policy)
     assert not secure
+
+
+def test_verification_agrees_with_join_chains_on_random_fragments():
+    # Each relation is split into two random, possibly overlapping parts,
+    # so fragment graphs both keep and lose associations.
+    rng = random.Random(2024)
+    compared = 0
+    for _ in range(200):
+        schema = random_schema(rng)
+        fragments = []
+        for rel in schema.relations:
+            for part in range(1, 3):
+                attrs = rng.sample(rel.attributes, rng.randint(1, len(rel.attributes)))
+                fragments.append(Fragment(rel.name, tuple(sorted(attrs)), part))
+        pool = sorted({a for frag in fragments for a in frag.attrs})
+        if len(pool) < 2:
+            continue
+        sets = [rng.sample(pool, rng.randint(2, min(3, len(pool)))) for _ in range(4)]
+        policy = make_policy(schema, forbidden=sets[:2], required=sets)
+        result = DecomposedSchema(tuple(fragments), (), ())
+        fragment_fdg = build_fdg(fragment_schema(result, schema))
+        families = {s: join_chains(fragment_fdg, s) for s in policy.required}
+        if any(fam.truncated for fam in families.values()):
+            continue
+        secure, flags = verify_decomposition(result, schema, policy)
+        assert dict(flags) == {s: bool(fam.chains) for s, fam in families.items()}
+        assert secure == (not any(families[s].chains for s in policy.forbidden))
+        compared += 1
+    assert compared > 150
+
+
+def test_long_fd_chain_decomposes_securely():
+    steps = 1200
+    schema = fd_chain_schema(steps)
+    report = secure_decompose(schema, make_policy(schema, forbidden=[["a0", f"a{steps}"]]))
+    assert report.security_verified
+    assert report.warnings == ()
+
+
+def test_association_beyond_path_limits_is_not_reported_secure():
+    # With one-edge paths the enumeration only sees the chain through the
+    # relation vertex ABC; cutting it leaves fragments AB and BC, which
+    # still join on B.  Verification walks the whole fragment graph, so the
+    # report must say so instead of claiming security.
+    schema = make_schema([("R", ["A", "B", "C"], ["A"])], [(["A"], ["B"]), (["B"], ["C"])])
+    policy = make_policy(schema, forbidden=[["A", "C"]])
+    report = secure_decompose(schema, policy, limits=PathLimits(max_path_length=1))
+    assert fragments_by_relation(report.result) == {"R": {V("AB"), V("BC")}}
+    assert not report.security_verified
+    assert report.warnings[-1] == "re-cut found no new cut; still associable: {A, C}"
 
 
 def test_required_set_flags(example2):
