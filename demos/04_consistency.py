@@ -3,8 +3,8 @@
 A cut must take at least one edge from every forbidden join chain while
 leaving, for every required set, at least one chain untouched.  Deciding
 whether such a cut exists is NP-complete (satisfiability embeds into it),
-so two exact strategies are provided (an enumeration over the required
-side, a backtracking search over the forbidden side); they always agree.
+so two exact strategies are provided (a backtracking search over the
+required side, another over the forbidden side); they always agree.
 """
 
 from schemacut import (

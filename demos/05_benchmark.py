@@ -1,10 +1,10 @@
 """Walkthrough: timing the consistency strategies on random instances.
 
 Instances are abstract chain sets over an opaque edge universe, seeded
-for reproducibility.  On the bundled grids strategy I brute-forces the
-required side and strategy II the forbidden side; each is fast where its
-brute-forced side stays lucky and can hit a wall otherwise, which the
-timeout turns into an explicit row instead of a hang.
+for reproducibility.  Strategy I searches the required side and strategy
+II the forbidden side; each is fast where its side prunes well and can
+hit a wall otherwise, which the timeout turns into an explicit row
+instead of a hang.
 """
 
 from schemacut import BenchParams, fixtures, generate_instance, results_to_csv, run_benchmark

@@ -5,7 +5,7 @@ Subcommands::
     schemacut decompose SCHEMA.json [--strategy I|II|auto] [--out R.json]
                         [--sql VIEWS.sql] [--dot G.dot]
                         [--max-paths N] [--max-width N]
-    schemacut check INSTANCE.json [--strategy I|II|auto]
+    schemacut check INSTANCE.json [--strategy I|II|auto] [--timeout SECONDS]
     schemacut chains SCHEMA.json --set A,B[,...]
     schemacut bench GRID.json [--strategies I,II] [--timeout SECONDS] [--csv OUT.csv]
     schemacut export-dot SCHEMA.json [--out G.dot]
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="consistency-check an abstract instance")
     p.add_argument("instance")
     p.add_argument("--strategy", choices=["I", "II", "auto"], default="auto")
-    p.add_argument("--timeout", type=float, default=None)
+    p.add_argument("--timeout", type=float, default=60.0)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("chains", help="enumerate join chains for an attribute set")

@@ -2,26 +2,28 @@
 
 An instance carries the forbidden join chains (a cut must intersect every
 one) and the required chain families (each family must keep at least one
-chain untouched).  Two exact strategies decide the same verdict:
+chain untouched).  Two exact strategies decide the same verdict, both as
+moves on one iterative depth-first search core (``_depth_first``), a
+backtracking search in the style of DPLL (Davis, Logemann & Loveland
+1962):
 
-* required-first: enumerate one preserved chain per family; a choice works
-  when every forbidden chain keeps an edge outside the protected union.
+* required-first: choose one preserved chain per family, in input order;
+  a prefix whose protected edges already cover a forbidden chain is
+  pruned, so the walk finds the first consistent choice of the
+  Cartesian-product order without scanning the product.
 * forbidden-first: search for a cut that picks an edge of every forbidden
-  chain while every family still has a disjoint chain.  A backtracking
-  search in the style of DPLL (Davis, Logemann & Loveland 1962): branch on
-  the unhit chain with the fewest admissible edges and forward-check the
-  required families (Haralick & Elliott 1980).  It decides instances
-  whose product of chain sizes is far too large to enumerate.
+  chain while every family still has a disjoint chain.  It branches on
+  the unhit chain with the fewest admissible edges and forward-checks the
+  required families (Haralick & Elliott 1980).
 
-Both read an optional deadline at their first step and every
-``_TIMEOUT_STRIDE`` steps after, so an expired deadline stops the work
-before any search.  Deciding consistency is NP-complete; a 3SAT reduction
+Both read an optional deadline before any search and, inside the core,
+every ``_TIMEOUT_STRIDE`` pick attempts, so an expired deadline stops the
+work at once.  Deciding consistency is NP-complete; a 3SAT reduction
 doubles as a test generator.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -134,14 +136,125 @@ def _label_sort_key(edge: Hashable, count: int) -> tuple:
 
 
 def _deadline_passed(start: float, timeout_s: float | None, steps: int) -> bool:
-    """Read the clock at the first step and every ``_TIMEOUT_STRIDE`` steps.
+    """Read the clock at step 0 and every ``_TIMEOUT_STRIDE`` steps.
 
-    Reading it at the first step lets an already expired deadline stop the
-    work before any search.
+    Both checkers read it at step 0, so an already expired deadline stops
+    the work before any search.
     """
-    if timeout_s is None or (steps != 1 and steps % _TIMEOUT_STRIDE):
+    if timeout_s is None or steps % _TIMEOUT_STRIDE:
         return False
     return time.perf_counter() - start >= timeout_s
+
+
+def _depth_first(moves, start: float, timeout_s: float | None) -> bool:
+    """The search core of both strategies: an iterative depth-first walk.
+
+    ``moves.branches(excluded)`` lists the options of the current node,
+    ``[]`` when the picks so far are a solution and None at a dead end.
+    ``moves.pick(option)`` applies an option and returns False when the
+    picks already fail; ``moves.unpick()`` undoes the latest pick, failed
+    or not, and returns its option.  An option whose branch failed stays
+    in ``excluded`` for its siblings, so no combination is tried twice.
+    Every pick attempt is one step toward the deadline.  True when the
+    walk stops at a solution, which ``moves`` then holds.
+    """
+    excluded: set = set()
+    steps = 0
+    # Each frame: its options and the index of the next one.
+    stack: list[list] = []
+    candidates = moves.branches(excluded)
+    while True:
+        if candidates == []:
+            return True
+        if candidates is not None:
+            stack.append([candidates, 0])
+        # Move to the next untried option, leaving exhausted frames.
+        while stack:
+            frame = stack[-1]
+            options, pos = frame
+            if pos:
+                excluded.add(moves.unpick())
+            if pos == len(options):
+                excluded.difference_update(options)
+                stack.pop()
+                continue
+            frame[1] = pos + 1
+            steps += 1
+            if _deadline_passed(start, timeout_s, steps):
+                raise ConsistencyTimeout
+            if moves.pick(options[pos]):
+                break
+        else:
+            return False
+        candidates = moves.branches(excluded)
+
+
+def _edge_index(chains: Sequence[frozenset]) -> dict[Hashable, list[int]]:
+    """Map every edge to the positions of the chains that hold it."""
+    index: dict[Hashable, list[int]] = {}
+    for i, chain in enumerate(chains):
+        for edge in chain:
+            index.setdefault(edge, []).append(i)
+    return index
+
+
+class _ChainChoice:
+    """Strategy I's moves: one preserved chain per required family.
+
+    Families are taken in input order, and the chains of each family in
+    input order.  Picking a chain protects its edges; a pick fails as soon
+    as some forbidden chain is wholly protected.  Protection only grows
+    along a branch, so a failed prefix has no consistent completion, and
+    the first choice the walk finds is the first consistent one in
+    Cartesian-product order.  A chain whose branch failed may be skipped
+    in later families too: a choice that holds it there protects at least
+    what some choice of the failed branch protected.
+    """
+
+    def __init__(self, instance: CcInstance):
+        self.families = instance.required_families
+        self.forbidden_of = _edge_index(instance.forbidden_chains)
+        # Per forbidden chain, its edges no picked chain protects yet.
+        self.unprotected = [len(chain) for chain in instance.forbidden_chains]
+        self.protects: dict[Hashable, int] = {}
+        self.chosen: list[frozenset] = []
+
+    def branches(self, excluded: set) -> list | None:
+        if len(self.chosen) == len(self.families):
+            return []
+        family = self.families[len(self.chosen)]
+        return [chain for chain in family if chain not in excluded] or None
+
+    def pick(self, chain: frozenset) -> bool:
+        """Protect ``chain``; False when a forbidden chain is wholly protected."""
+        self.chosen.append(chain)
+        ok = True
+        for edge in chain:
+            ids = self.forbidden_of.get(edge)
+            if ids is None:
+                continue
+            count = self.protects.get(edge, 0)
+            self.protects[edge] = count + 1
+            if count:
+                continue
+            for i in ids:
+                self.unprotected[i] -= 1
+                if not self.unprotected[i]:
+                    ok = False
+        return ok
+
+    def unpick(self) -> frozenset:
+        chain = self.chosen.pop()
+        for edge in chain:
+            ids = self.forbidden_of.get(edge)
+            if ids is None:
+                continue
+            self.protects[edge] -= 1
+            if self.protects[edge]:
+                continue
+            for i in ids:
+                self.unprotected[i] += 1
+        return chain
 
 
 def check_required_first(
@@ -150,48 +263,44 @@ def check_required_first(
     edge_sort_key: Callable[[Hashable, int], tuple] = _label_sort_key,
     timeout_s: float | None = None,
 ) -> ConsistencyResult:
-    """Strategy I: brute-force selection over the required side.
+    """Strategy I: exact search over the required side.
 
-    Enumerates one preserved chain per family in input order; the first
-    choice whose protected edge union leaves every forbidden chain an
-    escape edge wins.  The cut is then built greedily over the forbidden
-    chains restricted to unprotected edges.
+    Walks the choices of one preserved chain per family (see
+    ``_ChainChoice``) and prunes every prefix whose protected edges
+    already cover a forbidden chain.  The first choice in
+    Cartesian-product order that leaves every forbidden chain an escape
+    edge wins; the cut is then built greedily over the forbidden chains
+    restricted to unprotected edges.  An empty family makes the instance
+    inconsistent without a search.
     """
     start = time.perf_counter()
-    steps = 0
-    for choice in itertools.product(*instance.required_families):
-        steps += 1
-        if _deadline_passed(start, timeout_s, steps):
-            raise ConsistencyTimeout
-        protected = frozenset().union(*choice) if choice else frozenset()
-        if any(chain <= protected for chain in instance.forbidden_chains):
-            continue
+    if _deadline_passed(start, timeout_s, 0):
+        raise ConsistencyTimeout
+    choice = _ChainChoice(instance)
+    if all(instance.required_families) and _depth_first(choice, start, timeout_s):
+        protected = frozenset().union(*choice.chosen)
         restricted = [chain - protected for chain in instance.forbidden_chains]
         cut = greedy_hitting_set(restricted, edge_sort_key)
         elapsed = (time.perf_counter() - start) * 1000.0
-        return ConsistencyResult(True, cut, tuple(choice), "required-first", elapsed)
+        return ConsistencyResult(True, cut, tuple(choice.chosen), "required-first", elapsed)
     elapsed = (time.perf_counter() - start) * 1000.0
     return ConsistencyResult(False, None, None, "required-first", elapsed)
 
 
 class _CutSearch:
-    """Backtracking search for a cut over the forbidden side.
+    """Strategy II's moves: the edges of a cut over the forbidden side.
 
     A node branches on the unhit forbidden chain with the fewest
     admissible edges (MRV), trying first the edges that break the fewest
     live required chains, then the least label.  Forward checking on the
     required families: a family left with one live chain makes that
     chain's edges inadmissible, and a pick that breaks a family's last
-    live chain fails at once.  An edge whose branch failed stays excluded
-    for its siblings, so every cut is explored once.
+    live chain fails at once.
     """
 
     def __init__(self, instance: CcInstance):
         self.forbidden = instance.forbidden_chains
-        self.forbidden_of: dict[Hashable, list[int]] = {}
-        for i, chain in enumerate(self.forbidden):
-            for edge in chain:
-                self.forbidden_of.setdefault(edge, []).append(i)
+        self.forbidden_of = _edge_index(self.forbidden)
         self.required: list[frozenset] = []
         self.family_of: list[int] = []
         self.members: list[list[int]] = []
@@ -211,7 +320,6 @@ class _CutSearch:
         self.broken = [0] * len(self.required)
         self.live = [len(ids) for ids in self.members]
         self.ban: dict[Hashable, int] = {}
-        self.excluded: set = set()
         self.cut: list[Hashable] = []
         for ids in self.members:
             if len(ids) == 1:
@@ -269,11 +377,11 @@ class _CutSearch:
             self.hits[i] -= 1
         return edge
 
-    def branches(self) -> list | None:
+    def branches(self, excluded: set) -> list | None:
         """Candidate edges for the next node: [] when every forbidden chain
         is hit, None when some unhit chain has no admissible edge."""
         best = None
-        ban, excluded = self.ban, self.excluded
+        ban = self.ban
         for i, chain in enumerate(self.forbidden):
             if self.hits[i]:
                 continue
@@ -291,39 +399,6 @@ class _CutSearch:
 
         return sorted(best, key=lambda e: (breaks(e), e))
 
-    def run(self, start: float, timeout_s: float | None) -> list | None:
-        """Depth-first search; the cut in pick order, or None."""
-        if not all(self.live):
-            return None
-        steps = 0
-        # Each frame: its candidate edges and the index of the next one.
-        stack: list[list] = []
-        candidates = self.branches()
-        while True:
-            steps += 1
-            if _deadline_passed(start, timeout_s, steps):
-                raise ConsistencyTimeout
-            if candidates == []:
-                return list(self.cut)
-            if candidates is not None:
-                stack.append([candidates, 0])
-            # Move to the next untried edge, leaving exhausted frames.
-            while stack:
-                frame = stack[-1]
-                options, pos = frame
-                if pos:
-                    self.excluded.add(self.unpick())
-                if pos == len(options):
-                    self.excluded.difference_update(options)
-                    stack.pop()
-                    continue
-                frame[1] = pos + 1
-                if self.pick(options[pos]):
-                    break
-            else:
-                return None
-            candidates = self.branches()
-
 
 def check_forbidden_first(
     instance: CcInstance,
@@ -335,21 +410,21 @@ def check_forbidden_first(
     First tests the candidate that takes the least label of every
     forbidden chain, which settles loosely constrained instances without
     building any index.  When that candidate breaks a whole family, a
-    complete backtracking search decides the instance: it branches on the
+    complete depth-first search decides the instance: it branches on the
     unhit chain with the fewest admissible edges and forward-checks the
     required families (see ``_CutSearch``).  The cut is reported sorted;
     the witnesses are the first disjoint chain per family.  Verdicts agree
     with strategy I on every instance.
     """
     start = time.perf_counter()
-    if _deadline_passed(start, timeout_s, 1):
+    if _deadline_passed(start, timeout_s, 0):
         raise ConsistencyTimeout
     picked = frozenset(min(chain) for chain in instance.forbidden_chains)
     witnesses = _survivors(instance, picked)
     if witnesses is None:
-        found = _CutSearch(instance).run(start, timeout_s)
-        if found is not None:
-            picked = frozenset(found)
+        search = _CutSearch(instance)
+        if all(search.live) and _depth_first(search, start, timeout_s):
+            picked = frozenset(search.cut)
             witnesses = _survivors(instance, picked)
     elapsed = (time.perf_counter() - start) * 1000.0
     if witnesses is None:
@@ -359,7 +434,7 @@ def check_forbidden_first(
 
 
 def pick_strategy(instance: CcInstance) -> str:
-    """Heuristic: brute-force the side with the smaller combination bound."""
+    """Heuristic: search the side with the smaller combination bound."""
     required_bound = 1
     for family in instance.required_families:
         required_bound *= max(len(family), 1)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from schemacut import decomposition_from_dict, fixtures, load_schema_doc, secure_decompose
-from schemacut.cli import main
+from schemacut.cli import build_parser, main
 
 from .goldens import V
 
@@ -103,6 +103,16 @@ def test_check_second_instance_exits_2(capsys):
     code, stdout, _ = run(capsys, "check", fixture_file("cc2"), "--strategy", "II")
     assert code == 2
     assert json.loads(stdout)["consistent"] is False
+
+
+def test_check_stops_at_its_timeout(capsys):
+    code, _, stderr = run(capsys, "check", fixture_file("cc1"), "--timeout", "0")
+    assert code == 1
+    assert "consistency check timed out" in stderr
+
+
+def test_check_timeout_defaults_to_60_seconds():
+    assert build_parser().parse_args(["check", "inst.json"]).timeout == 60.0
 
 
 def test_check_no_required_sets(tmp_path, capsys):

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schemacut import (
@@ -20,7 +21,9 @@ from schemacut import (
     reduce_3sat,
     validate_cut,
 )
-from schemacut.consistency import pick_strategy
+from schemacut.bench import generate_instance
+from schemacut.consistency import _label_sort_key, pick_strategy
+from schemacut.cut import greedy_hitting_set
 
 
 def test_first_instance_consistent(request):
@@ -134,6 +137,105 @@ def test_strategies_agree_on_random_instances(forbidden, required):
         if result.consistent:
             ok, _ = validate_cut(result.cut.as_set(), instance)
             assert ok
+
+
+def product_scan(instance):
+    """Strategy I as a scan of the Cartesian product of the families: the
+    reference for the depth-first walk's verdict, cut and witnesses."""
+    for choice in itertools.product(*instance.required_families):
+        protected = frozenset().union(*choice)
+        if any(chain <= protected for chain in instance.forbidden_chains):
+            continue
+        restricted = [chain - protected for chain in instance.forbidden_chains]
+        return True, greedy_hitting_set(restricted, _label_sort_key).edges, choice
+    return False, None, None
+
+
+def _outcome(result):
+    cut = result.cut.edges if result.consistent else None
+    return result.consistent, cut, result.preserved
+
+
+@st.composite
+def shared_chain_instances(draw):
+    # Families draw from one small pool of chains, so a chain often
+    # repeats across families (and within one); families may be empty.
+    pool = draw(st.lists(_EDGES, min_size=1, max_size=5))
+    forbidden = draw(st.lists(_EDGES, max_size=5))
+    families = draw(st.lists(st.lists(st.sampled_from(pool), max_size=4), max_size=6))
+    return make_instance(forbidden, families)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_chain_instances())
+@example(make_instance([["a", "b"]], []))
+@example(make_instance([["a"]], [[["b"]], []]))
+@example(make_instance([["a", "b"], ["c"]], [[["a"], ["c"]], [["b"], ["a"]], [["a"]]]))
+def test_required_first_matches_product_scan(instance):
+    assert _outcome(check_required_first(instance)) == product_scan(instance)
+
+
+def test_required_first_walks_thousands_of_families_without_recursion():
+    families = [[[f"x{i}"]] for i in range(1999)]
+    consistent = make_instance([["a", "b"]], families + [[["a", "y"]]])
+    inconsistent = make_instance([["a", "b"]], families + [[["a", "b"]]])
+    for instance in (consistent, inconsistent):
+        assert _outcome(check_required_first(instance)) == product_scan(instance)
+
+
+def test_every_pick_attempt_counts_toward_the_deadline(monkeypatch):
+    # One node whose 3,000 options all fail at once: the clock stride
+    # counts each attempt, not each node.
+    from schemacut import consistency
+
+    steps = []
+    real = consistency._deadline_passed
+
+    def recording(start, timeout_s, step):
+        steps.append(step)
+        return real(start, timeout_s, step)
+
+    monkeypatch.setattr(consistency, "_deadline_passed", recording)
+    instance = make_instance([["a"]], [[["a", f"x{i}"] for i in range(3000)]])
+    assert not check_required_first(instance, timeout_s=60.0).consistent
+    assert max(steps) == 3000
+
+
+def test_required_first_decides_an_empty_family_without_a_search():
+    # Walking the 2**30 prefixes before the empty family would not finish.
+    families = [[[f"x{i}"], [f"y{i}"]] for i in range(30)]
+    instance = make_instance([["a"]], families + [[]])
+    assert not check_required_first(instance, timeout_s=1.0).consistent
+
+
+def _table3(name):
+    from schemacut import fixtures
+
+    names, grid = fixtures.bench_grid("table3")
+    return generate_instance(grid[names.index(name)])
+
+
+@pytest.mark.parametrize("name", ["Exp_18", "Exp_19"])
+@pytest.mark.parametrize("strategy", ["I", "auto"])
+def test_hard_table3_rows_are_decided_under_a_second(name, strategy):
+    instance = _table3(name)
+    started = time.perf_counter()
+    result = check(instance, strategy, timeout_s=1.0)
+    assert time.perf_counter() - started < 1.0
+    assert result.strategy == "required-first"
+    assert result.consistent == check_forbidden_first(instance).consistent
+    ok, _ = validate_cut(result.cut.as_set(), instance)
+    assert ok
+
+
+def test_required_first_deadline_stops_the_search_midway():
+    # Strategy I does not decide table3 Exp_20 within the limit; it must
+    # stop within 0.1 s of it.
+    instance = _table3("Exp_20")
+    started = time.perf_counter()
+    with pytest.raises(ConsistencyTimeout):
+        check_required_first(instance, timeout_s=1.0)
+    assert time.perf_counter() - started < 1.1
 
 
 def test_expired_deadline_stops_both_strategies():
