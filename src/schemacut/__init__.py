@@ -45,7 +45,6 @@ from .joinchain import (
     SimplePaths,
     enumerate_simple_paths,
     join_chains,
-    reverse_graph,
 )
 from .cut import (
     CutSet,

@@ -4,7 +4,8 @@ Fragments are computed as complements of inclusion-minimal hitting sets of
 the forbidden sets that fit inside the relation, which matches literal
 power-set elimination without materialising the power set.  The module
 also carries the older strong-cut baseline, which additionally severs
-every forbidden attribute from each of its identifiers.
+every forbidden attribute from each of its identifiers.  Lost dependencies
+are looked up in attribute indexes over the relations and the fragments.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from .model import (
     Schema,
     SchemaError,
     attr_set,
+    element_index,
+    holding_all,
+    minimal_sets,
 )
 
 DEFAULT_MAX_WIDTH = 24
@@ -62,44 +66,8 @@ def minimal_hitting_sets(sets: Sequence[frozenset]) -> list[frozenset]:
                 extended.append(h)
             else:
                 extended.extend(h | {e} for e in sorted(target))
-        pruned: list[frozenset] = []
-        for h in extended:
-            if any(o < h for o in extended):
-                continue
-            if h not in pruned:
-                pruned.append(h)
-        hits = pruned
+        hits = minimal_sets(extended)
     return hits
-
-
-def _restrict(forbidden: Sequence[AttributeSet], attrs: AttributeSet) -> list[frozenset]:
-    """Forbidden sets fully inside ``attrs``, reduced to inclusion-minimal ones."""
-    inside = {frozenset(f) for f in forbidden if f and set(f) <= set(attrs)}
-    for f in forbidden:
-        if not f:
-            raise SchemaError("empty forbidden set")
-    return sorted(
-        (f for f in inside if not any(o < f for o in inside)),
-        key=sorted,
-    )
-
-
-def _fragments_for(
-    relation: Relation, elim: list[frozenset], max_width: int
-) -> list[Fragment]:
-    if len(relation.attributes) > max_width:
-        raise WidthBoundExceeded(
-            f"relation {relation.name!r} has {len(relation.attributes)} attributes, "
-            f"bound is {max_width}"
-        )
-    if not elim:
-        return [Fragment(relation.name, relation.attributes, 0)]
-    survivors = sorted(
-        attr_set(set(relation.attributes) - h) for h in minimal_hitting_sets(elim)
-    )
-    return [
-        Fragment(relation.name, attrs, i) for i, attrs in enumerate(survivors, start=1)
-    ]
 
 
 def decompose_relation(
@@ -108,26 +76,36 @@ def decompose_relation(
     max_width: int = DEFAULT_MAX_WIDTH,
 ) -> list[Fragment]:
     """Maximal subsets of the relation containing no forbidden set entirely."""
-    return _fragments_for(relation, _restrict(forbidden, relation.attributes), max_width)
+    for f in forbidden:
+        if not f:
+            raise SchemaError("empty forbidden set")
+    if len(relation.attributes) > max_width:
+        raise WidthBoundExceeded(
+            f"relation {relation.name!r} has {len(relation.attributes)} attributes, "
+            f"bound is {max_width}"
+        )
+    held = set(relation.attributes)
+    elim = minimal_sets(frozenset(f) for f in forbidden if held.issuperset(f))
+    if not elim:
+        return [Fragment(relation.name, relation.attributes, 0)]
+    survivors = sorted(attr_set(held - h) for h in minimal_hitting_sets(elim))
+    return [
+        Fragment(relation.name, attrs, i) for i, attrs in enumerate(survivors, start=1)
+    ]
 
 
 def _lost_dependencies(
     schema: Schema, fragments: Sequence[Fragment], dfds: DecomposedFdSet
 ) -> tuple[FunctionalDependency, ...]:
-    by_relation: dict[str, list[AttributeSet]] = {}
-    for frag in fragments:
-        by_relation.setdefault(frag.source_relation, []).append(frag.attrs)
+    relations = element_index(rel.attributes for rel in schema.relations)
+    pieces = element_index(frag.attrs for frag in fragments)
     lost = []
     for dep in dfds:
-        spanned = set(dep.lhs) | set(dep.rhs)
-        for rel in schema.relations:
-            if spanned <= set(rel.attributes):
-                kept = any(
-                    spanned <= set(frag_attrs)
-                    for frag_attrs in by_relation.get(rel.name, [])
-                )
-                if not kept and dep not in lost:
-                    lost.append(dep)
+        spanned = dep.lhs + dep.rhs
+        holders = {schema.relations[i].name for i in holding_all(relations, spanned)}
+        keepers = {fragments[i].source_relation for i in holding_all(pieces, spanned)}
+        if holders - keepers:
+            lost.append(dep)
     return tuple(lost)
 
 
@@ -155,22 +133,18 @@ def strong_cut_decompose(
     seen_elims: set[AttributeSet] = set(elim_sets)
     for rel in schema.relations:
         rel_attrs = set(rel.attributes)
-        elim = {frozenset(f) for f in forbidden if set(f) <= rel_attrs}
+        elim = list(forbidden)
         for a in forbidden_attrs:
             if a not in rel_attrs:
                 continue
             for ident in ident_cache[a]:
-                if set(ident) <= rel_attrs:
-                    pair = frozenset(ident) | {a}
-                    elim.add(pair)
-                    merged = attr_set(pair)
+                if rel_attrs.issuperset(ident):
+                    merged = attr_set(ident + (a,))
+                    elim.append(merged)
                     if merged not in seen_elims:
                         seen_elims.add(merged)
                         elim_sets.append(merged)
-        minimal = sorted(
-            (f for f in elim if not any(o < f for o in elim)), key=sorted
-        )
-        fragments.extend(_fragments_for(rel, minimal, max_width))
+        fragments.extend(decompose_relation(rel, elim, max_width))
 
     frags = tuple(fragments)
     return DecomposedSchema(frags, tuple(elim_sets), _lost_dependencies(schema, frags, dfds))

@@ -3,9 +3,10 @@
 Vertices are attribute sets: every single attribute, every multi-attribute
 dependency left-hand side, and every relation's attribute set.  Edges are
 the decomposed dependencies plus one containment edge from each vertex to
-every strictly contained vertex (the projection dependencies).  Derived
-transitive dependencies are *not* materialised as edges; reachability
-carries them, which reproduces the base graph exactly.
+every strictly contained vertex (the projection dependencies), looked up
+in an attribute -> vertices index.  Derived transitive dependencies are
+*not* materialised; reachability carries them, which reproduces the base
+graph exactly.
 
 Each graph indexes its edges once, on first use, as ``Fdg.children`` and
 ``Fdg.parents``; every walk over the graph reads them.
@@ -18,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .closure import decompose_fds
-from .model import AttributeSet, Schema
+from .model import AttributeSet, Schema, element_index, holding_all
 
 EdgeRef = tuple[AttributeSet, AttributeSet]
 """An edge is identified by its (source attrs, destination attrs) pair."""
@@ -98,22 +99,20 @@ def build_fdg(schema: Schema) -> Fdg:
             # recorded as a relation set.
             kinds[rel.attributes] = KIND_RELATION
 
-    vertices = tuple(FdgVertex(attrs, kinds[attrs]) for attrs in sorted(kinds))
-    vertex_sets = set(kinds)
+    vertex_sets = sorted(kinds)
+    vertices = tuple(FdgVertex(attrs, kinds[attrs]) for attrs in vertex_sets)
 
     refs: dict[EdgeRef, str] = {}
     for dep in dfds:
         dst = (dep.rhs[0],)
-        if dep.lhs == dst or dep.lhs not in vertex_sets or dst not in vertex_sets:
+        if dep.lhs == dst or dep.lhs not in kinds or dst not in kinds:
             continue
         refs.setdefault((dep.lhs, dst), PROV_FD)
-    for big in vertex_sets:
-        if len(big) == 1:
-            continue
-        big_set = set(big)
-        for small in vertex_sets:
-            if small != big and set(small) < big_set:
-                refs.setdefault((big, small), PROV_CONTAINMENT)
+    index = element_index(vertex_sets)
+    for small in vertex_sets:
+        for pos in holding_all(index, small):
+            if vertex_sets[pos] != small:
+                refs.setdefault((vertex_sets[pos], small), PROV_CONTAINMENT)
 
     edges = tuple(FdgEdge(src, dst, prov) for (src, dst), prov in sorted(refs.items()))
     return Fdg(vertices, edges)

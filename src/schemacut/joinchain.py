@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .fdg import Adjacency, EdgeRef, Fdg, FdgEdge
-from .model import AttributeSet, SchemaError, attr_set
+from .fdg import Adjacency, EdgeRef, Fdg
+from .model import AttributeSet, SchemaError, attr_set, minimal_sets
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,6 @@ class ChainFamily:
 
     def edge_sets(self) -> tuple[frozenset[EdgeRef], ...]:
         return tuple(chain.edges for chain in self.chains)
-
-
-def reverse_graph(fdg: Fdg) -> Fdg:
-    """Same vertices, every edge reversed. An involution."""
-    edges = tuple(
-        FdgEdge(e.dst, e.src, e.provenance)
-        for e in sorted(fdg.edges, key=lambda e: (e.dst, e.src))
-    )
-    return Fdg(fdg.vertices, edges)
 
 
 def walk_simple_paths(adjacency: Adjacency, start: AttributeSet, limits: PathLimits) -> SimplePaths:
@@ -142,8 +133,7 @@ def join_chains(
         set.intersection(*(set(sp.paths) for sp in per_target.values()))
     ) if per_target else []
 
-    chains: list[JoinChain] = []
-    seen: set[frozenset[EdgeRef]] = set()
+    chains: dict[frozenset[EdgeRef], JoinChain] = {}
     for ancestor in ancestors:
         combos = itertools.product(
             *(per_target[tv].paths[ancestor] for tv in target_vertices)
@@ -153,13 +143,8 @@ def join_chains(
                 truncated = True
                 break
             edges = frozenset(ref for path in combo for ref in path)
-            if edges not in seen:
-                seen.add(edges)
-                chains.append(JoinChain(edges, ancestor, source_set))
+            if edges not in chains:
+                chains[edges] = JoinChain(edges, ancestor, source_set)
 
-    kept = tuple(
-        chain
-        for chain in chains
-        if not any(other.edges < chain.edges for other in chains)
-    )
+    kept = tuple(chains[edges] for edges in minimal_sets(chains))
     return ChainFamily(source_set, kept, truncated)

@@ -286,6 +286,41 @@ def _delete_attribute(schema: Schema, victim: str) -> Schema:
     return validate_schema(Schema(tuple(relations), tuple(fds)))
 
 
+def minimal_sets(sets: Iterable[frozenset]) -> list[frozenset]:
+    """The distinct sets that strictly contain no other, in first-occurrence order.
+
+    Sets are visited smallest first, each tested only against the smaller
+    sets already kept: a set that contains any set contains a minimal one.
+    The empty set, when present, is therefore the only survivor.
+    """
+    distinct = list(dict.fromkeys(sets))
+    kept: list[frozenset] = []
+    for s in sorted(distinct, key=len):
+        for k in kept:
+            if k < s:
+                break
+        else:
+            kept.append(s)
+    if len(kept) == len(distinct):
+        return distinct
+    keep = set(kept)
+    return [s for s in distinct if s in keep]
+
+
+def element_index(sets: Iterable[Iterable[str]]) -> dict[str, set[int]]:
+    """Per element, the positions of the ``sets`` that hold it."""
+    index: dict[str, set[int]] = {}
+    for pos, members in enumerate(sets):
+        for element in members:
+            index.setdefault(element, set()).add(pos)
+    return index
+
+
+def holding_all(index: Mapping[str, set[int]], members: Iterable[str]) -> set[int]:
+    """Positions of the indexed sets that hold every one of ``members`` (non-empty)."""
+    return set.intersection(*[index.get(element) or set() for element in members])
+
+
 # ---------------------------------------------------------------------------
 # JSON input format
 # ---------------------------------------------------------------------------

@@ -15,11 +15,12 @@ vertex (a fragment hosting the set is one) may reach all of a forbidden set.
 Verification is load-bearing, not decorative.  A cut through a composite
 vertex's containment edge only bans the full composite, so smaller
 fragments can keep the association alive; when verification finds such a
-surviving association the pipeline cuts again on the rebuilt graph and
-re-decomposes until secure, or until the bounded chain enumeration finds
-nothing new to cut, which the report flags as not secure.  Required-set
-survival is also re-checked on the final fragments; failures downgrade
-the report with a warning rather than passing silently.
+surviving association the pipeline cuts again on that same graph (one
+fragment graph per round) and re-decomposes until secure, or until the
+bounded chain enumeration finds nothing new to cut, which the report flags
+as not secure.  Required-set survival is also re-checked on the final
+fragments; failures downgrade the report with a warning rather than
+passing silently.
 """
 
 from __future__ import annotations
@@ -43,7 +44,15 @@ from .decompose import (
 )
 from .fdg import Fdg, build_fdg, reachable
 from .joinchain import PathLimits, join_chains
-from .model import AttributeSet, Policy, Relation, Schema, preprocess_policy
+from .model import (
+    AttributeSet,
+    Policy,
+    Relation,
+    Schema,
+    element_index,
+    holding_all,
+    preprocess_policy,
+)
 
 _MAX_RECUT_ROUNDS = 64
 
@@ -60,18 +69,17 @@ class DecompositionReport:
 def fragment_schema(result: DecomposedSchema, schema: Schema) -> Schema:
     """Rebuild a schema whose relations are the fragments.
 
-    Dependencies survive when fully co-located in some fragment; keys are
-    not re-derived (each fragment gets its full attribute set as a
-    trivial key, which the graph construction never consults).
+    Dependencies survive when fully co-located in some fragment (found in
+    an attribute -> fragments index); keys are not re-derived (each
+    fragment gets its full attribute set as a trivial key, which the graph
+    construction never consults).
     """
     relations = tuple(
         Relation(frag.name, frag.attrs, frag.attrs) for frag in result.fragments
     )
-    fragment_sets = [set(frag.attrs) for frag in result.fragments]
+    index = element_index(frag.attrs for frag in result.fragments)
     kept = tuple(
-        dep
-        for dep in decompose_fds(schema.fds)
-        if any(set(dep.lhs) | set(dep.rhs) <= fs for fs in fragment_sets)
+        dep for dep in decompose_fds(schema.fds) if holding_all(index, dep.lhs + dep.rhs)
     )
     return Schema(relations, kept, schema.attribute_names)
 
@@ -151,15 +159,13 @@ def secure_decompose(
             effective.append(s)
 
     result = _decompose_all(schema, effective, new_forbidden, dfds, max_width)
-    secure, required_flags = verify_decomposition(result, schema, policy)
-
-    rounds = 0
-    while not secure:
-        rounds += 1
-        if rounds > _MAX_RECUT_ROUNDS:
-            raise RuntimeError("re-cut did not converge")
+    for rounds in range(_MAX_RECUT_ROUNDS + 1):
         new_fdg = build_fdg(fragment_schema(result, schema))
         unbroken = [s for s in policy.forbidden if _associable(new_fdg, s)]
+        if not unbroken:
+            break
+        if rounds == _MAX_RECUT_ROUNDS:
+            raise RuntimeError("re-cut did not converge")
         extra_cut = greedy_cut([join_chains(new_fdg, s, limits) for s in unbroken], new_fdg)
         extra_sets = edges_to_forbidden_sets(extra_cut, new_fdg)
         progress = [s for s in extra_sets if s not in effective]
@@ -173,7 +179,7 @@ def secure_decompose(
         effective.extend(progress)
         new_forbidden.extend(progress)
         result = _decompose_all(schema, effective, new_forbidden, dfds, max_width)
-        secure, required_flags = verify_decomposition(result, schema, policy)
+    required_flags = tuple((req, _associable(new_fdg, req)) for req in policy.required)
 
     for req, ok in required_flags:
         if not ok:
@@ -184,7 +190,7 @@ def secure_decompose(
     return DecompositionReport(
         result=result,
         consistency=consistency,
-        security_verified=secure,
+        security_verified=not unbroken,
         required_verified=required_flags,
         warnings=tuple(warnings),
     )

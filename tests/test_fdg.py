@@ -10,6 +10,7 @@ from schemacut import (
     make_schema,
     transitive_closure_pairs,
 )
+from schemacut.fdg import PROV_CONTAINMENT
 
 from .conftest import random_schema
 from .goldens import EX1_EDGES, EX1_FB_CHAINS, EX1_VERTICES, EX2_EDGE_LABELS, V
@@ -161,3 +162,15 @@ def test_dot_example2_has_30_edges(ex2_fdg):
     dot = export_dot(ex2_fdg)
     assert dot.count("->") == 30
     assert dot.startswith("digraph fdg {")
+
+
+def test_containment_edges_match_all_pairs_reference():
+    # Reference: the all-pairs scan that the attribute index replaced.
+    rng = random.Random(61)
+    for _ in range(300):
+        fdg = build_fdg(random_schema(rng))
+        sets = [v.attrs for v in fdg.vertices]
+        want = {(big, small) for big in sets for small in sets if set(small) < set(big)}
+        got = [e.ref for e in fdg.edges if e.provenance == PROV_CONTAINMENT]
+        assert set(got) == want
+        assert [e.ref for e in fdg.edges] == sorted(e.ref for e in fdg.edges)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schemacut import (
     Policy,
@@ -13,6 +15,7 @@ from schemacut import (
     preprocess_policy,
     validate_schema,
 )
+from schemacut.model import element_index, holding_all, minimal_sets
 
 
 def test_example1_interning(example1):
@@ -159,3 +162,31 @@ def test_json_missing_keys_rejected():
 def test_json_policy_optional():
     schema, policy = load_schema_doc({"relations": [], "fds": []})
     assert policy == Policy()
+
+
+def all_pairs_minimal(sets):
+    """Reference: the all-pairs superset filter that ``minimal_sets`` replaced."""
+    kept = []
+    for s in sets:
+        if not any(o < s for o in sets) and s not in kept:
+            kept.append(s)
+    return kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 5), max_size=4), max_size=12))
+@example([frozenset({1}), frozenset({1, 2}), frozenset({1})])
+@example([frozenset({1, 2}), frozenset(), frozenset({3}), frozenset()])
+@example([frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3}), frozenset({1, 2, 3})])
+def test_minimal_sets_matches_all_pairs_filter(sets):
+    assert minimal_sets(sets) == all_pairs_minimal(sets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.sets(st.sampled_from("abcdef")), max_size=8),
+    st.sets(st.sampled_from("abcdefg"), min_size=1, max_size=3),
+)
+def test_holding_all_matches_a_scan(sets, members):
+    index = element_index(sets)
+    assert holding_all(index, members) == {i for i, s in enumerate(sets) if members <= s}

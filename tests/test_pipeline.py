@@ -7,6 +7,7 @@ from schemacut import (
     Fragment,
     PathLimits,
     decompose_fds,
+    dependency_loss,
     fragment_schema,
     greedy_cut,
     join_chains,
@@ -18,6 +19,8 @@ from schemacut import (
     strong_cut_decompose,
     verify_decomposition,
 )
+from schemacut import pipeline
+from schemacut.decompose import assemble
 
 from .conftest import fd_chain_schema, random_policy, random_schema
 from .goldens import EX2_NEW_FORBIDDEN, EX2_RELAXED_FRAGMENTS, V
@@ -148,6 +151,55 @@ def test_verification_agrees_with_join_chains_on_random_fragments():
     assert compared > 150
 
 
+def scanned_fragment_fds(result, schema):
+    """Reference: the all-pairs scan that ``fragment_schema`` replaced."""
+    fragment_sets = [set(frag.attrs) for frag in result.fragments]
+    return tuple(
+        dep
+        for dep in decompose_fds(schema.fds)
+        if any(set(dep.lhs) | set(dep.rhs) <= fs for fs in fragment_sets)
+    )
+
+
+def scanned_lost_dependencies(schema, fragments, dfds):
+    """Reference: the all-pairs scan that ``_lost_dependencies`` replaced."""
+    by_relation = {}
+    for frag in fragments:
+        by_relation.setdefault(frag.source_relation, []).append(frag.attrs)
+    lost = []
+    for dep in dfds:
+        spanned = set(dep.lhs) | set(dep.rhs)
+        for rel in schema.relations:
+            if spanned <= set(rel.attributes):
+                kept = any(spanned <= set(attrs) for attrs in by_relation.get(rel.name, []))
+                if not kept and dep not in lost:
+                    lost.append(dep)
+    return tuple(lost)
+
+
+def test_fragment_bookkeeping_matches_all_pairs_scans():
+    # Relations share attributes, get zero to three random parts each, and
+    # so both keep and lose dependencies.
+    rng = random.Random(71)
+    lost_any = 0
+    for _ in range(300):
+        schema = random_schema(rng)
+        per_relation = {}
+        for rel in schema.relations:
+            per_relation[rel.name] = []
+            for part in range(1, rng.randint(1, 4)):
+                attrs = rng.sample(rel.attributes, rng.randint(1, len(rel.attributes)))
+                per_relation[rel.name].append(Fragment(rel.name, tuple(sorted(attrs)), part))
+        dfds = decompose_fds(schema.fds)
+        result = assemble(schema, per_relation, (), dfds)
+        assert fragment_schema(result, schema).fds == scanned_fragment_fds(result, schema)
+        want = scanned_lost_dependencies(schema, result.fragments, dfds)
+        assert result.lost_dependencies == want
+        assert dependency_loss(schema, result, dfds) == len(want)
+        lost_any += bool(want)
+    assert lost_any > 50
+
+
 def test_long_fd_chain_decomposes_securely():
     steps = 1200
     schema = fd_chain_schema(steps)
@@ -195,7 +247,7 @@ def test_inconsistent_policy_reports_no_fragments():
     assert doc["fragments"] == [] and doc["consistent"] is False
 
 
-def test_recut_restores_security_for_containment_cuts():
+def test_recut_restores_security_for_containment_cuts(monkeypatch):
     # A shared containment edge tops the greedy order, but banning the
     # whole composite leaves its smaller fragments associable; the
     # verify-and-recut round must catch and fix that.
@@ -209,11 +261,17 @@ def test_recut_restores_security_for_containment_cuts():
         [(["a"], ["s"]), (["a"], ["u"]), (["b"], ["t"]), (["p"], ["q"])],
     )
     policy = make_policy(schema, forbidden=[["s", "t"], ["u", "q"]])
+    builds = []
+    monkeypatch.setattr(pipeline, "build_fdg", lambda s: builds.append(s) or build_fdg(s))
     report = secure_decompose(schema, policy)
     assert report.security_verified
-    assert any("additional co-occurrence" in w for w in report.warnings)
+    rounds = sum("additional co-occurrence" in w for w in report.warnings)
+    assert rounds >= 1
     assert V("as") in report.result.new_forbidden
     assert V("au") in report.result.new_forbidden
+    # The schema's graph, then one fragment graph per decomposition: each
+    # round checks and re-cuts on the same graph.
+    assert len(builds) == 2 + rounds
 
 
 def test_idempotent_on_already_secure_schema(example2):
