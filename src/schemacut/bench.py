@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import random
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .consistency import CcInstance, ConsistencyTimeout, check
-from .model import SchemaError
+from .model import SchemaError, check_object, read_json
 
 
 @dataclass(frozen=True)
@@ -137,11 +136,7 @@ def load_grid_doc(doc) -> tuple[list[str], list[BenchParams]]:
     names, grid = [], []
     allowed = set(_PARAM_COLUMNS) | {"name"}
     for i, entry in enumerate(doc):
-        if not isinstance(entry, Mapping):
-            raise SchemaError(f"grid[{i}]: must be an object")
-        unknown = sorted(set(entry) - allowed)
-        if unknown:
-            raise SchemaError(f"grid[{i}]: unknown key {unknown[0]!r}")
+        check_object(entry, allowed, f"grid[{i}]")
         missing = [c for c in _PARAM_COLUMNS if c not in entry]
         if missing:
             raise SchemaError(f"grid[{i}]: missing {missing[0]!r}")
@@ -151,9 +146,4 @@ def load_grid_doc(doc) -> tuple[list[str], list[BenchParams]]:
 
 
 def load_grid(path: str | Path) -> tuple[list[str], list[BenchParams]]:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-    return load_grid_doc(doc)
+    return load_grid_doc(read_json(path))

@@ -48,6 +48,13 @@ def _write_or_print(text: str, path: str | None) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _edge_label(ref) -> str:
     return f"{''.join(ref[0])}->{''.join(ref[1])}"
 
@@ -194,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the report JSON here instead of stdout")
     p.add_argument("--sql", help="write CREATE VIEW lines here")
     p.add_argument("--dot", help="write the graph (cut edges highlighted) here")
-    p.add_argument("--max-paths", type=int, default=10_000)
-    p.add_argument("--max-width", type=int, default=24)
+    p.add_argument("--max-paths", type=_positive_int, default=10_000)
+    p.add_argument("--max-width", type=_positive_int, default=24)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("check", help="consistency-check an abstract instance")
@@ -207,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chains", help="enumerate join chains for an attribute set")
     p.add_argument("schema")
     p.add_argument("--set", required=True, help="comma-separated attribute names")
-    p.add_argument("--max-paths", type=int, default=10_000)
+    p.add_argument("--max-paths", type=_positive_int, default=10_000)
     p.set_defaults(func=cmd_chains)
 
     p = sub.add_parser("bench", help="run a benchmark grid")

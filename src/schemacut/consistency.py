@@ -30,10 +30,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-import json
-
 from .cut import CutSet, greedy_hitting_set
-from .model import SchemaError
+from .model import SchemaError, check_object, doc_list, element_index, read_json
 
 
 class ConsistencyTimeout(Exception):
@@ -189,15 +187,6 @@ def _depth_first(moves, start: float, timeout_s: float | None) -> bool:
         candidates = moves.branches(excluded)
 
 
-def _edge_index(chains: Sequence[frozenset]) -> dict[Hashable, list[int]]:
-    """Map every edge to the positions of the chains that hold it."""
-    index: dict[Hashable, list[int]] = {}
-    for i, chain in enumerate(chains):
-        for edge in chain:
-            index.setdefault(edge, []).append(i)
-    return index
-
-
 class _ChainChoice:
     """Strategy I's moves: one preserved chain per required family.
 
@@ -213,7 +202,7 @@ class _ChainChoice:
 
     def __init__(self, instance: CcInstance):
         self.families = instance.required_families
-        self.forbidden_of = _edge_index(instance.forbidden_chains)
+        self.forbidden_of = element_index(instance.forbidden_chains)
         # Per forbidden chain, its edges no picked chain protects yet.
         self.unprotected = [len(chain) for chain in instance.forbidden_chains]
         self.protects: dict[Hashable, int] = {}
@@ -300,7 +289,7 @@ class _CutSearch:
 
     def __init__(self, instance: CcInstance):
         self.forbidden = instance.forbidden_chains
-        self.forbidden_of = _edge_index(self.forbidden)
+        self.forbidden_of = element_index(self.forbidden)
         self.required: list[frozenset] = []
         self.family_of: list[int] = []
         self.members: list[list[int]] = []
@@ -497,25 +486,20 @@ _CC_KEYS = {"forbidden", "required"}
 
 def load_cc_doc(doc: Mapping) -> CcInstance:
     """Parse an abstract instance: opaque string edge labels."""
-    if not isinstance(doc, Mapping):
-        raise SchemaError("instance document must be an object")
-    unknown = sorted(set(doc) - _CC_KEYS)
-    if unknown:
-        raise SchemaError(f"instance document: unknown key {unknown[0]!r}")
-    forbidden = [
-        frozenset(str(e) for e in chain) for chain in doc.get("forbidden", [])
-    ]
-    required = [
-        tuple(frozenset(str(e) for e in chain) for chain in family)
-        for family in doc.get("required", [])
-    ]
-    return CcInstance(tuple(forbidden), tuple(required))
+    check_object(doc, _CC_KEYS, "instance document")
+
+    def chains(value, where: str) -> tuple[frozenset, ...]:
+        return tuple(
+            frozenset(str(e) for e in doc_list(chain, f"{where}[{i}]"))
+            for i, chain in enumerate(doc_list(value, where))
+        )
+
+    families = doc_list(doc.get("required", []), "required")
+    return CcInstance(
+        chains(doc.get("forbidden", []), "forbidden"),
+        tuple(chains(family, f"required[{i}]") for i, family in enumerate(families)),
+    )
 
 
 def load_cc_instance(path: str | Path) -> CcInstance:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-    return load_cc_doc(doc)
+    return load_cc_doc(read_json(path))

@@ -1,9 +1,10 @@
 """Greedy cut selection over forbidden chain families, plus an exact oracle.
 
-The greedy pass scores each graph edge by the number of chains it appears
-in, sorts by score descending then endpoint attribute count ascending
-(cheap edges first), and selects an edge whenever it still hits an unmarked
-chain.  Reverse-delete then drops any selected edge the others make
+The greedy pass indexes the chains by edge (``model.element_index``),
+scores each edge by the number of chains that hold it, sorts by score
+descending then endpoint attribute count ascending (cheap edges first), and
+selects an edge whenever its chains include an unmarked one, which it then
+marks.  Reverse-delete then drops any selected edge the others make
 redundant.  The oracle finds a true minimum hitting set by exhaustive
 search and is intended for test-scale instances only.
 """
@@ -16,7 +17,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 from .fdg import EdgeRef, Fdg
 from .joinchain import ChainFamily
-from .model import AttributeSet, attr_set
+from .model import AttributeSet, attr_set, element_index
 
 
 class OracleBoundExceeded(ValueError):
@@ -55,12 +56,11 @@ def _flatten(chains: Sequence[ChainFamily]) -> list[frozenset]:
 
 def security_counts(chains: Sequence[ChainFamily], fdg: Fdg) -> tuple[EdgeScore, ...]:
     """Per-edge chain membership counts over all families, in edge order."""
-    flat = _flatten(chains)
-    scores = []
-    for edge in fdg.edges:
-        count = sum(1 for c in flat if edge.ref in c)
-        scores.append(EdgeScore(edge.ref, count, len(edge.src) + len(edge.dst)))
-    return tuple(scores)
+    holders = element_index(_flatten(chains))
+    return tuple(
+        EdgeScore(edge.ref, len(holders.get(edge.ref, ())), len(edge.src) + len(edge.dst))
+        for edge in fdg.edges
+    )
 
 
 def greedy_hitting_set(
@@ -69,24 +69,20 @@ def greedy_hitting_set(
 ) -> CutSet:
     """Shared mark-and-sweep core.
 
-    ``sort_key(edge, count)`` orders the candidate edges; an edge is taken
-    iff it belongs to at least one unmarked chain, and then marks all its
-    chains.  The result intersects every chain.
+    ``sort_key(edge, count)`` orders the candidate edges, ``count`` being
+    the number of chains that hold the edge; an edge is taken iff it belongs
+    to at least one unmarked chain, and then marks all its chains.  The
+    result intersects every non-empty chain.
     """
-    counts: dict[Hashable, int] = {}
-    for chain in chain_sets:
-        for edge in chain:
-            counts[edge] = counts.get(edge, 0) + 1
-    order = sorted(counts, key=lambda e: sort_key(e, counts[e]))
-
-    marked = [False] * len(chain_sets)
+    holders = element_index(chain_sets)
+    unmarked = set(range(len(chain_sets)))
     selection: list[Hashable] = []
-    for edge in order:
-        hit = [i for i, chain in enumerate(chain_sets) if edge in chain and not marked[i]]
-        if hit:
+    for edge in sorted(holders, key=lambda e: sort_key(e, len(holders[e]))):
+        if not unmarked:
+            break
+        if not unmarked.isdisjoint(holders[edge]):
             selection.append(edge)
-            for i in hit:
-                marked[i] = True
+            unmarked -= holders[edge]
     return CutSet(tuple(selection))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 AttributeSet = tuple[str, ...]
 """Sorted, duplicate-free tuple of attribute names."""
@@ -27,11 +27,11 @@ class SchemaError(ValueError):
 
 def attr_set(names: Iterable[str]) -> AttributeSet:
     """Canonicalise an iterable of attribute names into an AttributeSet."""
-    out = tuple(sorted(set(names)))
-    for name in out:
+    names = list(names)
+    for name in names:
         if not isinstance(name, str) or not name:
             raise SchemaError(f"attribute name must be a non-empty string, got {name!r}")
-    return out
+    return tuple(sorted(set(names)))
 
 
 @dataclass(frozen=True)
@@ -307,16 +307,20 @@ def minimal_sets(sets: Iterable[frozenset]) -> list[frozenset]:
     return [s for s in distinct if s in keep]
 
 
-def element_index(sets: Iterable[Iterable[str]]) -> dict[str, set[int]]:
-    """Per element, the positions of the ``sets`` that hold it."""
-    index: dict[str, set[int]] = {}
+def element_index(sets: Iterable[Iterable[Hashable]]) -> dict[Hashable, set[int]]:
+    """Per element, the positions of the ``sets`` that hold it.
+
+    Keys come in first-occurrence order.  The graph layer indexes sets by
+    attribute, the cut layer join chains by edge.
+    """
+    index: dict[Hashable, set[int]] = {}
     for pos, members in enumerate(sets):
         for element in members:
             index.setdefault(element, set()).add(pos)
     return index
 
 
-def holding_all(index: Mapping[str, set[int]], members: Iterable[str]) -> set[int]:
+def holding_all(index: Mapping[Hashable, set[int]], members: Iterable[Hashable]) -> set[int]:
     """Positions of the indexed sets that hold every one of ``members`` (non-empty)."""
     return set.intersection(*[index.get(element) or set() for element in members])
 
@@ -332,69 +336,78 @@ _FD_KEYS = {"lhs", "rhs", "probabilistic"}
 _POLICY_KEYS = {"forbidden", "required"}
 
 
-def _check_keys(obj: Mapping, allowed: set[str], where: str) -> None:
+def check_object(obj: Mapping, allowed: set[str], where: str) -> None:
+    if not isinstance(obj, Mapping):
+        raise SchemaError(f"{where}: must be an object")
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise SchemaError(f"{where}: unknown key {unknown[0]!r}")
 
 
+def doc_list(value, where: str, item: type = object) -> list | tuple:
+    """``value`` if it is a list of ``item``s, else ``SchemaError`` naming ``where``."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, item) for v in value):
+        raise SchemaError(f"{where}: must be a list" + (" of strings" if item is str else ""))
+    return value
+
+
 def load_schema_doc(doc: Mapping) -> tuple[Schema, Policy]:
     """Parse a schema document (already-decoded JSON). Unknown keys are rejected."""
-    if not isinstance(doc, Mapping):
-        raise SchemaError("top-level document must be an object")
-    _check_keys(doc, _TOP_KEYS, "document")
+    check_object(doc, _TOP_KEYS, "document")
     if "relations" not in doc or "fds" not in doc:
         raise SchemaError("document: missing 'relations' or 'fds'")
 
     relations = []
-    for i, rel in enumerate(doc["relations"]):
+    for i, rel in enumerate(doc_list(doc["relations"], "relations")):
         where = f"relations[{i}]"
-        if not isinstance(rel, Mapping):
-            raise SchemaError(f"{where}: must be an object")
-        _check_keys(rel, _REL_KEYS, where)
+        check_object(rel, _REL_KEYS, where)
         for key in ("name", "attributes", "primary_key"):
             if key not in rel:
                 raise SchemaError(f"{where}: missing {key!r}")
+        if not isinstance(rel["name"], str) or not rel["name"]:
+            raise SchemaError(f"{where}.name: must be a non-empty string")
         fks = []
-        for j, fk in enumerate(rel.get("foreign_keys", [])):
+        for j, fk in enumerate(doc_list(rel.get("foreign_keys", []), f"{where}.foreign_keys")):
             fk_where = f"{where}.foreign_keys[{j}]"
-            if not isinstance(fk, Mapping):
-                raise SchemaError(f"{fk_where}: must be an object")
-            _check_keys(fk, _FK_KEYS, fk_where)
+            check_object(fk, _FK_KEYS, fk_where)
             if "attributes" not in fk or "references" not in fk:
                 raise SchemaError(f"{fk_where}: missing 'attributes' or 'references'")
-            fks.append((list(fk["attributes"]), fk["references"]))
-        relations.append((rel["name"], list(rel["attributes"]), list(rel["primary_key"]), fks))
+            if not isinstance(fk["references"], str):
+                raise SchemaError(f"{fk_where}.references: must be a string")
+            fk_attrs = doc_list(fk["attributes"], f"{fk_where}.attributes", str)
+            fks.append((fk_attrs, fk["references"]))
+        attrs, pk = (doc_list(rel[k], f"{where}.{k}", str) for k in ("attributes", "primary_key"))
+        relations.append((rel["name"], attrs, pk, fks))
 
     fds = []
-    for i, dep in enumerate(doc["fds"]):
+    for i, dep in enumerate(doc_list(doc["fds"], "fds")):
         where = f"fds[{i}]"
-        if not isinstance(dep, Mapping):
-            raise SchemaError(f"{where}: must be an object")
-        _check_keys(dep, _FD_KEYS, where)
+        check_object(dep, _FD_KEYS, where)
         if "lhs" not in dep or "rhs" not in dep:
             raise SchemaError(f"{where}: missing 'lhs' or 'rhs'")
-        fds.append((list(dep["lhs"]), list(dep["rhs"]), bool(dep.get("probabilistic", False))))
+        lhs, rhs = (doc_list(dep[k], f"{where}.{k}", str) for k in ("lhs", "rhs"))
+        fds.append((lhs, rhs, bool(dep.get("probabilistic", False))))
 
     schema = make_schema(relations, fds)
 
     policy_doc = doc.get("policy", {})
-    if not isinstance(policy_doc, Mapping):
-        raise SchemaError("policy: must be an object")
-    _check_keys(policy_doc, _POLICY_KEYS, "policy")
-    policy = make_policy(
-        schema,
-        forbidden=[list(s) for s in policy_doc.get("forbidden", [])],
-        required=[list(s) for s in policy_doc.get("required", [])],
-    )
-    return schema, policy
+    check_object(policy_doc, _POLICY_KEYS, "policy")
+    sets = {}
+    for key in ("forbidden", "required"):
+        groups = doc_list(policy_doc.get(key, []), f"policy.{key}")
+        sets[key] = [doc_list(s, f"policy.{key}[{i}]", str) for i, s in enumerate(groups)]
+    return schema, make_policy(schema, **sets)
+
+
+def read_json(path: str | Path):
+    """Decode a UTF-8 JSON file; malformed JSON raises ``SchemaError``."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def load_schema(path: str | Path) -> tuple[Schema, Policy]:
     """Load and validate a schema file (UTF-8 JSON)."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-    return load_schema_doc(doc)
+    return load_schema_doc(read_json(path))

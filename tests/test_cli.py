@@ -90,6 +90,65 @@ def test_decompose_missing_file_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"relations": 5, "fds": []}, "relations: must be a list"),
+        (
+            {"relations": [{"name": "R", "attributes": 5, "primary_key": ["A"]}], "fds": []},
+            "relations[0].attributes: must be a list of strings",
+        ),
+        (
+            {"relations": [{"name": 7, "attributes": ["A"], "primary_key": ["A"]}], "fds": []},
+            "relations[0].name: must be a non-empty string",
+        ),
+        (
+            {
+                "relations": [{"name": "R", "attributes": ["A", "B"], "primary_key": ["A"]}],
+                "fds": [],
+                "policy": {"forbidden": [["A", 3]]},
+            },
+            "policy.forbidden[0]: must be a list of strings",
+        ),
+    ],
+    ids=["relations-not-a-list", "attributes-not-a-list", "name-a-number", "forbidden-number"],
+)
+def test_decompose_badly_shaped_schema_exits_1(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "decompose", str(path))
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["decompose", "chains"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_paths_must_be_positive(capsys, command, value):
+    extra = ["--set", "A,B"] if command == "chains" else []
+    code, stdout, stderr = run(
+        capsys, command, fixture_file("example0"), *extra, "--max-paths", value
+    )
+    assert code == 1
+    assert stdout == ""
+    assert "--max-paths: must be a positive integer" in stderr
+
+
+def test_max_width_must_be_positive(capsys):
+    code, _, stderr = run(capsys, "decompose", fixture_file("example0"), "--max-width", "0")
+    assert code == 1
+    assert "--max-width: must be a positive integer" in stderr
+
+
+def test_check_badly_shaped_instance_exits_1(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"forbidden": 3}))
+    code, stdout, stderr = run(capsys, "check", str(path))
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "error: forbidden: must be a list\n"
+
+
 def test_check_first_instance(capsys):
     code, stdout, _ = run(capsys, "check", fixture_file("cc1"))
     assert code == 0

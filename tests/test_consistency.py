@@ -373,3 +373,27 @@ def test_cc_document_parsing():
     assert instance.universe is instance.universe
     with pytest.raises(SchemaError, match="unknown key"):
         load_cc_doc({"forbidden": [], "required": [], "extra": 1})
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"forbidden": 3}, r"^forbidden: must be a list$"),
+        ({"forbidden": ["ab"]}, r"^forbidden\[0\]: must be a list$"),
+        ({"required": {"a": 1}}, r"^required: must be a list$"),
+        ({"required": [["a"]]}, r"^required\[0\]\[0\]: must be a list$"),
+        ({"required": [[["a"]], 5]}, r"^required\[1\]: must be a list$"),
+        ([["a"]], r"^instance document: must be an object$"),
+    ],
+    ids=[
+        "forbidden-a-number",
+        "chain-a-string",
+        "required-an-object",
+        "family-holds-a-string",
+        "family-a-number",
+        "document-a-list",
+    ],
+)
+def test_cc_document_shape_errors_name_the_field(doc, message):
+    with pytest.raises(SchemaError, match=message):
+        load_cc_doc(doc)

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schemacut import (
@@ -15,6 +15,7 @@ from schemacut import (
     build_fdg,
     edges_to_forbidden_sets,
     greedy_cut,
+    greedy_hitting_set,
     join_chains,
     make_schema,
     minimum_cut_oracle,
@@ -22,6 +23,7 @@ from schemacut import (
     security_counts,
 )
 
+from .conftest import random_policy, random_schema
 from .goldens import (
     EX2_AD_CHAINS,
     EX2_DF_CHAINS,
@@ -169,8 +171,6 @@ def brute_minimum_size(chain_sets):
     )
 )
 def test_generic_greedy_hitting_set_is_valid(chains):
-    from schemacut import greedy_hitting_set
-
     chain_sets = [frozenset(c) for c in chains]
     cut = greedy_hitting_set(chain_sets, lambda e, n: (-n, e))
     assert all(c & cut.as_set() for c in chain_sets)
@@ -219,8 +219,6 @@ def test_reverse_delete_walks_the_selection_backwards():
     )
 )
 def test_reverse_delete_leaves_an_irredundant_subsequence(chains):
-    from schemacut import greedy_hitting_set
-
     chain_sets = [frozenset(c) for c in chains]
     cut = greedy_hitting_set(chain_sets, lambda e, n: (e,))
     pruned = reverse_delete(cut, chain_sets).edges
@@ -253,3 +251,60 @@ def test_forbidden_sets_unknown_edge_rejected(ex1_fdg):
 
     with pytest.raises(ValueError, match="not in the graph"):
         edges_to_forbidden_sets(CutSet(((("Z",), ("Q",)),)), ex1_fdg)
+
+
+def scan_security_counts(chains, fdg):
+    """Reference: the per-edge scan over every chain that the index replaced."""
+    flat = [chain.edges for fam in chains for chain in fam.chains]
+    return tuple(sum(1 for c in flat if edge.ref in c) for edge in fdg.edges)
+
+
+def test_security_counts_match_a_scan_on_random_schemas():
+    rng = random.Random(11)
+    for _ in range(60):
+        schema = random_schema(rng)
+        policy = random_policy(rng, schema)
+        fdg = build_fdg(schema)
+        fams = [join_chains(fdg, s) for s in policy.forbidden]
+        scores = security_counts(fams, fdg)
+        assert tuple(s.security_count for s in scores) == scan_security_counts(fams, fdg)
+        assert tuple(s.edge for s in scores) == tuple(e.ref for e in fdg.edges)
+
+
+def scan_greedy_hitting_set(chain_sets, sort_key):
+    """Reference: the hand-counted greedy that scanned every chain per edge."""
+    counts = {}
+    for chain in chain_sets:
+        for edge in chain:
+            counts[edge] = counts.get(edge, 0) + 1
+    order = sorted(counts, key=lambda e: sort_key(e, counts[e]))
+    marked = [False] * len(chain_sets)
+    selection = []
+    for edge in order:
+        hit = [i for i, chain in enumerate(chain_sets) if edge in chain and not marked[i]]
+        if hit:
+            selection.append(edge)
+            for i in hit:
+                marked[i] = True
+    return tuple(selection)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.frozensets(st.sampled_from("pqrstuv"), max_size=4), max_size=7),
+    st.sampled_from(["total", "count only", "label"]),
+)
+@example([], "total")
+@example([frozenset()], "count only")
+@example([frozenset("pq"), frozenset(), frozenset("q")], "total")
+@example([frozenset("pq"), frozenset("pq"), frozenset("r")], "count only")
+@example([frozenset("rq"), frozenset("qp"), frozenset("ps")], "count only")
+def test_greedy_hitting_set_matches_the_chain_scan(chain_sets, key):
+    # "count only" is not total: tied edges keep their first-occurrence order.
+    sort_key = {
+        "total": lambda e, n: (-n, e),
+        "count only": lambda e, n: -n,
+        "label": lambda e, n: (e,),
+    }[key]
+    expected = scan_greedy_hitting_set(chain_sets, sort_key)
+    assert greedy_hitting_set(chain_sets, sort_key).edges == expected

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from schemacut import (
     Policy,
     SchemaError,
+    attr_set,
     load_schema_doc,
     make_policy,
     make_schema,
@@ -157,6 +158,61 @@ def test_json_unknown_keys_rejected():
 def test_json_missing_keys_rejected():
     with pytest.raises(SchemaError, match="missing"):
         load_schema_doc({"relations": [{"name": "R", "attributes": ["A"]}], "fds": []})
+
+
+def relation_doc(**fields):
+    rel = {"name": "R", "attributes": ["A", "B"], "primary_key": ["A"], **fields}
+    return {"relations": [rel], "fds": []}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"relations": 5, "fds": []}, r"^relations: must be a list$"),
+        ({"relations": [], "fds": {"lhs": ["A"]}}, r"^fds: must be a list$"),
+        (relation_doc(attributes=5), r"^relations\[0\]\.attributes: must be a list of strings$"),
+        (relation_doc(primary_key="A"), r"^relations\[0\]\.primary_key: must be a list"),
+        (relation_doc(name=7), r"^relations\[0\]\.name: must be a non-empty string$"),
+        (relation_doc(name=""), r"^relations\[0\]\.name: must be a non-empty string$"),
+        (
+            relation_doc(foreign_keys=[{"attributes": ["B"], "references": ["R"]}]),
+            r"^relations\[0\]\.foreign_keys\[0\]\.references: must be a string$",
+        ),
+        (
+            {"relations": [], "fds": [{"lhs": ["A"], "rhs": [["B"]]}]},
+            r"^fds\[0\]\.rhs: must be a list of strings$",
+        ),
+        (
+            {**relation_doc(), "policy": {"forbidden": [["A", 3]]}},
+            r"^policy\.forbidden\[0\]: must be a list of strings$",
+        ),
+        ({**relation_doc(), "policy": {"required": "AB"}}, r"^policy\.required: must be a list$"),
+        ({**relation_doc(), "policy": []}, r"^policy: must be an object$"),
+        ([], r"^document: must be an object$"),
+    ],
+    ids=[
+        "relations-not-a-list",
+        "fds-not-a-list",
+        "attributes-not-a-list",
+        "primary-key-a-string",
+        "name-not-a-string",
+        "name-empty",
+        "references-not-a-string",
+        "rhs-holds-a-list",
+        "forbidden-set-holds-a-number",
+        "required-a-string",
+        "policy-not-an-object",
+        "document-not-an-object",
+    ],
+)
+def test_json_badly_shaped_documents_name_the_field(doc, message):
+    with pytest.raises(SchemaError, match=message):
+        load_schema_doc(doc)
+
+
+def test_attr_set_checks_names_before_sorting():
+    with pytest.raises(SchemaError, match="got 3"):
+        attr_set(["A", 3])
 
 
 def test_json_policy_optional():
