@@ -100,22 +100,14 @@ def results_to_csv(
     results: Sequence[BenchResult], names: Sequence[str] | None = None
 ) -> str:
     """Render results as CSV; ``names`` labels experiments in grid order."""
-    by_params: dict[BenchParams, str] = {}
-    if names:
-        seen: list[BenchParams] = []
-        for res in results:
-            if res.params not in seen:
-                seen.append(res.params)
-        by_params = {p: names[i] for i, p in enumerate(seen) if i < len(names)}
-
+    names = names or ()
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(CSV_HEADER)
     exp_index: dict[BenchParams, int] = {}
     for res in results:
-        if res.params not in exp_index:
-            exp_index[res.params] = len(exp_index) + 1
-        label = by_params.get(res.params, f"Exp_{exp_index[res.params]}")
+        i = exp_index.setdefault(res.params, len(exp_index))
+        label = names[i] if i < len(names) else f"Exp_{i + 1}"
         verdict = "timeout" if res.verdict is None else str(res.verdict).lower()
         writer.writerow(
             [
@@ -140,8 +132,14 @@ def load_grid_doc(doc) -> tuple[list[str], list[BenchParams]]:
         missing = [c for c in _PARAM_COLUMNS if c not in entry]
         if missing:
             raise SchemaError(f"grid[{i}]: missing {missing[0]!r}")
+        for c in _PARAM_COLUMNS:
+            if type(entry[c]) is not int:
+                raise SchemaError(f"grid[{i}].{c}: must be an integer")
+        try:
+            grid.append(BenchParams(**{c: entry[c] for c in _PARAM_COLUMNS}))
+        except ValueError as exc:
+            raise SchemaError(f"grid[{i}]: {exc}") from exc
         names.append(str(entry.get("name", f"Exp_{i + 1}")))
-        grid.append(BenchParams(**{c: int(entry[c]) for c in _PARAM_COLUMNS}))
     return names, grid
 
 

@@ -12,6 +12,8 @@ Subcommands::
 
 Exit codes: 0 success, 1 input or usage error, 2 policy inconsistent,
 3 post-decomposition verification failure.  Diagnostics go to stderr.
+Errors are mapped to exit codes in ``main`` only; any exception it does
+not map is a program fault and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -60,33 +62,20 @@ def _edge_label(ref) -> str:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    try:
-        schema, policy = load_schema(args.schema)
-    except (SchemaError, OSError) as exc:
-        return _fail(str(exc))
-
+    schema, policy = load_schema(args.schema)
     limits = PathLimits(max_paths_per_target=args.max_paths)
-    try:
-        report = secure_decompose(
-            schema,
-            policy,
-            limits=limits,
-            strategy=args.strategy,
-            max_width=args.max_width,
-        )
-    except (WidthBoundExceeded, SchemaError) as exc:
-        return _fail(str(exc))
-    except ConsistencyTimeout:
-        return _fail("consistency check timed out")
+    report = secure_decompose(
+        schema,
+        policy,
+        limits=limits,
+        strategy=args.strategy,
+        max_width=args.max_width,
+    )
 
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
-    doc = json.dumps(report_to_dict(report), indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(doc, encoding="utf-8")
-    else:
-        print(doc, end="")
+    _write_or_print(json.dumps(report_to_dict(report), indent=2) + "\n", args.out)
 
     if not report.consistency.consistent:
         print("policy inconsistent: no cut satisfies the required sets", file=sys.stderr)
@@ -114,14 +103,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        instance = load_cc_instance(args.instance)
-    except (SchemaError, OSError) as exc:
-        return _fail(str(exc))
-    try:
-        result = check(instance, args.strategy, timeout_s=args.timeout)
-    except ConsistencyTimeout:
-        return _fail("consistency check timed out")
+    instance = load_cc_instance(args.instance)
+    result = check(instance, args.strategy, timeout_s=args.timeout)
     doc = {
         "consistent": result.consistent,
         "cut": sorted(result.cut) if result.cut is not None else None,
@@ -132,18 +115,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_chains(args: argparse.Namespace) -> int:
-    try:
-        schema, _ = load_schema(args.schema)
-    except (SchemaError, OSError) as exc:
-        return _fail(str(exc))
+    schema, _ = load_schema(args.schema)
     targets = [a for a in args.set.split(",") if a]
     if not targets:
         return _fail("--set needs at least one attribute")
     limits = PathLimits(max_paths_per_target=args.max_paths)
-    try:
-        family = join_chains(build_fdg(schema), targets, limits)
-    except SchemaError as exc:
-        return _fail(str(exc))
+    family = join_chains(build_fdg(schema), targets, limits)
     if len(set(targets)) == 1:
         print("warning: a single attribute is trivially associable", file=sys.stderr)
     if family.truncated:
@@ -164,10 +141,7 @@ def cmd_chains(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        names, grid = load_grid(args.grid)
-    except (SchemaError, OSError, ValueError) as exc:
-        return _fail(str(exc))
+    names, grid = load_grid(args.grid)
     strategies = [s for s in args.strategies.split(",") if s]
     for s in strategies:
         if s not in ("I", "II", "auto"):
@@ -179,10 +153,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    try:
-        schema, _ = load_schema(args.schema)
-    except (SchemaError, OSError) as exc:
-        return _fail(str(exc))
+    schema, _ = load_schema(args.schema)
     _write_or_print(export_dot(build_fdg(schema)), args.out)
     return EXIT_OK
 
@@ -240,7 +211,12 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; fold into the input-error code
         # unless it is --help/--version (exit 0).
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConsistencyTimeout:
+        return _fail("consistency check timed out")
+    except (SchemaError, WidthBoundExceeded, OSError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -1,12 +1,12 @@
 """Functional dependency graph construction and export.
 
 Vertices are attribute sets: every single attribute, every multi-attribute
-dependency left-hand side, and every relation's attribute set.  Edges are
-the decomposed dependencies plus one containment edge from each vertex to
-every strictly contained vertex (the projection dependencies), looked up
-in an attribute -> vertices index.  Derived transitive dependencies are
-*not* materialised; reachability carries them, which reproduces the base
-graph exactly.
+dependency left-hand side, and every relation's attribute set.  Edges run
+from each dependency's lhs to each of its rhs attributes, plus one
+containment edge from each vertex to every strictly contained vertex (the
+projection dependencies), looked up in an attribute -> vertices index.
+Derived transitive dependencies are *not* materialised; reachability
+carries them, which reproduces the base graph exactly.
 
 Each graph indexes its edges once, on first use, as ``Fdg.children`` and
 ``Fdg.parents``; every walk over the graph reads them.
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .closure import decompose_fds
 from .model import AttributeSet, Schema, element_index, holding_all
 
 EdgeRef = tuple[AttributeSet, AttributeSet]
@@ -84,13 +83,11 @@ def build_fdg(schema: Schema) -> Fdg:
     Probabilistic dependencies contribute ordinary edges.  The result is
     byte-stable: vertices sorted by attribute set, edges by (src, dst).
     """
-    dfds = decompose_fds(schema.fds)
-
     kinds: dict[AttributeSet, str] = {}
     for rel in schema.relations:
         for attr in rel.attributes:
             kinds[(attr,)] = KIND_SINGLE
-    for dep in dfds:
+    for dep in schema.fds:
         if len(dep.lhs) > 1 and dep.lhs not in kinds:
             kinds[dep.lhs] = KIND_LHS
     for rel in schema.relations:
@@ -103,11 +100,10 @@ def build_fdg(schema: Schema) -> Fdg:
     vertices = tuple(FdgVertex(attrs, kinds[attrs]) for attrs in vertex_sets)
 
     refs: dict[EdgeRef, str] = {}
-    for dep in dfds:
-        dst = (dep.rhs[0],)
-        if dep.lhs == dst or dep.lhs not in kinds or dst not in kinds:
-            continue
-        refs.setdefault((dep.lhs, dst), PROV_FD)
+    for dep in schema.fds:
+        for attr in dep.rhs:
+            if attr not in dep.lhs and dep.lhs in kinds and (attr,) in kinds:
+                refs.setdefault((dep.lhs, (attr,)), PROV_FD)
     index = element_index(vertex_sets)
     for small in vertex_sets:
         for pos in holding_all(index, small):

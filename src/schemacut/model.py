@@ -386,7 +386,10 @@ def load_schema_doc(doc: Mapping) -> tuple[Schema, Policy]:
         if "lhs" not in dep or "rhs" not in dep:
             raise SchemaError(f"{where}: missing 'lhs' or 'rhs'")
         lhs, rhs = (doc_list(dep[k], f"{where}.{k}", str) for k in ("lhs", "rhs"))
-        fds.append((lhs, rhs, bool(dep.get("probabilistic", False))))
+        probabilistic = dep.get("probabilistic", False)
+        if not isinstance(probabilistic, bool):
+            raise SchemaError(f"{where}.probabilistic: must be true or false")
+        fds.append((lhs, rhs, probabilistic))
 
     schema = make_schema(relations, fds)
 
@@ -400,10 +403,11 @@ def load_schema_doc(doc: Mapping) -> tuple[Schema, Policy]:
 
 
 def read_json(path: str | Path):
-    """Decode a UTF-8 JSON file; malformed JSON raises ``SchemaError``."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Decode a UTF-8 JSON file; bad UTF-8 or malformed JSON raises ``SchemaError``."""
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
 

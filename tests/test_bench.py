@@ -10,6 +10,7 @@ from schemacut import (
     run_benchmark,
 )
 from schemacut.bench import CSV_HEADER, load_grid_doc
+from schemacut.model import SchemaError
 
 SMALL = BenchParams(
     fdg_edges=40,
@@ -132,6 +133,34 @@ def test_grid_doc_validation():
                 }
             ]
         )
+
+
+GRID_ENTRY = {
+    "fdg_edges": 10,
+    "edges_per_forbidden_chain": 2,
+    "forbidden_chain_count": 1,
+    "required_set_count": 1,
+    "chains_per_required_set": 1,
+    "edges_per_required_chain": 2,
+    "seed": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ([10], "grid[0].fdg_edges: must be an integer"),
+        (None, "grid[0].fdg_edges: must be an integer"),
+        (True, "grid[0].fdg_edges: must be an integer"),
+        (2.5, "grid[0].fdg_edges: must be an integer"),
+        (0, "grid[0]: fdg_edges must be positive"),
+    ],
+    ids=["list", "null", "true", "float", "zero"],
+)
+def test_grid_values_must_be_positive_integers(value, message):
+    with pytest.raises(SchemaError) as info:
+        load_grid_doc([{**GRID_ENTRY, "fdg_edges": value}])
+    assert str(info.value) == message
 
 
 def test_durations_track_brute_force_set_size():

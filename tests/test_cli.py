@@ -110,8 +110,21 @@ def test_decompose_missing_file_exits_1(capsys):
             },
             "policy.forbidden[0]: must be a list of strings",
         ),
+        (
+            {
+                "relations": [{"name": "R", "attributes": ["A", "B"], "primary_key": ["A"]}],
+                "fds": [{"lhs": ["A"], "rhs": ["B"], "probabilistic": "false"}],
+            },
+            "fds[0].probabilistic: must be true or false",
+        ),
     ],
-    ids=["relations-not-a-list", "attributes-not-a-list", "name-a-number", "forbidden-number"],
+    ids=[
+        "relations-not-a-list",
+        "attributes-not-a-list",
+        "name-a-number",
+        "forbidden-number",
+        "probabilistic-a-string",
+    ],
 )
 def test_decompose_badly_shaped_schema_exits_1(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"
@@ -120,6 +133,65 @@ def test_decompose_badly_shaped_schema_exits_1(tmp_path, capsys, doc, message):
     assert code == 1
     assert stdout == ""
     assert stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["decompose", "check"])
+def test_input_not_utf8_exits_1(tmp_path, capsys, command):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, stdout, stderr = run(capsys, command, str(path))
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith(f"error: {path}: not valid UTF-8: ")
+    assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", fixture_file("example2"), "--out"],
+        ["decompose", fixture_file("example2"), "--sql"],
+        ["decompose", fixture_file("example2"), "--dot"],
+        ["bench", "GRID", "--csv"],
+        ["export-dot", fixture_file("example2"), "--out"],
+    ],
+    ids=["decompose-out", "decompose-sql", "decompose-dot", "bench-csv", "export-dot-out"],
+)
+def test_write_under_missing_directory_exits_1(tmp_path, capsys, argv):
+    grid = tmp_path / "grid.json"
+    grid.write_text("[]")
+    argv = [str(grid) if a == "GRID" else a for a in argv]
+    code, _, stderr = run(capsys, *argv, str(tmp_path / "missing" / "out.txt"))
+    assert code == 1
+    assert stderr.startswith("error: ")
+    assert "Traceback" not in stderr
+
+
+def test_bench_grid_value_not_an_integer_exits_1(tmp_path, capsys):
+    entry = {
+        "fdg_edges": [10],
+        "edges_per_forbidden_chain": 2,
+        "forbidden_chain_count": 1,
+        "required_set_count": 1,
+        "chains_per_required_set": 1,
+        "edges_per_required_chain": 2,
+        "seed": 1,
+    }
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps([entry]))
+    code, stdout, stderr = run(capsys, "bench", str(path))
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "error: grid[0].fdg_edges: must be an integer\n"
+
+
+def test_program_fault_keeps_its_traceback(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("re-cut did not converge")
+
+    monkeypatch.setattr("schemacut.cli.secure_decompose", broken)
+    with pytest.raises(RuntimeError, match="re-cut did not converge"):
+        main(["decompose", fixture_file("example0")])
 
 
 @pytest.mark.parametrize("command", ["decompose", "chains"])
