@@ -139,7 +139,10 @@ def load_grid_doc(doc) -> tuple[list[str], list[BenchParams]]:
             grid.append(BenchParams(**{c: entry[c] for c in _PARAM_COLUMNS}))
         except ValueError as exc:
             raise SchemaError(f"grid[{i}]: {exc}") from exc
-        names.append(str(entry.get("name", f"Exp_{i + 1}")))
+        name = entry.get("name", f"Exp_{i + 1}")
+        if not isinstance(name, str):
+            raise SchemaError(f"grid[{i}].name: must be a string")
+        names.append(name)
     return names, grid
 
 

@@ -1,13 +1,14 @@
 """Dependency normalisation, attribute-set closure and identifiers.
 
-The full dependency closure is never materialised (it is exponential);
-every consumer asks closure queries instead.
+The full dependency closure is never materialised (it is exponential).
+Every closure query (attribute closures, identifiers, and verification
+by closure in the pipeline) is one ``closure_masks`` fixpoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .model import AttributeSet, FunctionalDependency, attr_set
 
@@ -49,26 +50,50 @@ def decompose_fds(fds: Sequence[FunctionalDependency]) -> DecomposedFdSet:
     return DecomposedFdSet(tuple(out), tuple(origin))
 
 
-def attribute_closure(start: Iterable[str], fds: DecomposedFdSet) -> AttributeSet:
-    """Smallest superset S of ``start`` with lhs ⊆ S implying rhs ⊆ S for all fds.
+def closure_masks(
+    groups: Sequence[Iterable[str]], fds: Iterable[FunctionalDependency]
+) -> dict[str, int]:
+    """Bit ``i`` of ``masks[a]`` is set iff ``a`` is in the closure of ``groups[i]``.
 
-    Worklist fixpoint; the result is order-independent.
+    All groups close in one worklist, the closure of Beeri & Bernstein (TODS
+    1979) run bitwise: masks start from group membership, and a dependency
+    ORs the AND of its lhs masks into its rhs, re-queueing the dependencies
+    that read an attribute whose mask grew.  Attributes in no closure are absent.
     """
-    closure = set(start)
-    pending = True
-    remaining = list(fds.fds)
-    while pending:
-        pending = False
-        still = []
-        for dep in remaining:
-            if set(dep.lhs) <= closure:
-                if dep.rhs[0] not in closure:
-                    closure.add(dep.rhs[0])
-                    pending = True
-            else:
-                still.append(dep)
-        remaining = still
-    return attr_set(closure)
+    masks: dict[str, int] = {}
+    for i, group in enumerate(groups):
+        for attr in group:
+            masks[attr] = masks.get(attr, 0) | 1 << i
+    everyone = (1 << len(groups)) - 1  # the AND over an empty lhs
+    queue = list(fds)
+    readers: dict[str, list[FunctionalDependency]] = {}
+    for dep in queue:
+        for attr in dep.lhs:
+            readers.setdefault(attr, []).append(dep)
+    while queue:
+        dep = queue.pop()
+        reach = everyone
+        for attr in dep.lhs:
+            reach &= masks.get(attr, 0)
+        for attr in dep.rhs:
+            grown = reach & ~masks.get(attr, 0)
+            if grown:
+                masks[attr] = masks.get(attr, 0) | grown
+                queue.extend(readers.get(attr, ()))
+    return masks
+
+
+def associable(masks: Mapping[str, int], attrs: Iterable[str]) -> bool:
+    """Whether one group's closure holds every attribute of ``attrs``."""
+    common = -1
+    for attr in attrs:
+        common &= masks.get(attr, 0)
+    return common != 0
+
+
+def attribute_closure(start: Iterable[str], fds: DecomposedFdSet) -> AttributeSet:
+    """Smallest superset S of ``start`` with lhs ⊆ S implying rhs ⊆ S for all fds."""
+    return attr_set(closure_masks([start], fds))
 
 
 def identifiers_of(
@@ -77,10 +102,6 @@ def identifiers_of(
     candidates: Sequence[AttributeSet],
 ) -> tuple[AttributeSet, ...]:
     """Candidate sets that determine ``attr`` without containing it."""
-    found = []
-    for cand in sorted(set(candidates)):
-        if attr in cand:
-            continue
-        if attr in attribute_closure(cand, fds):
-            found.append(cand)
-    return tuple(found)
+    others = [cand for cand in sorted(set(candidates)) if attr not in cand]
+    determined = closure_masks(others, fds).get(attr, 0)
+    return tuple(cand for i, cand in enumerate(others) if determined >> i & 1)

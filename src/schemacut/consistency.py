@@ -489,8 +489,9 @@ def load_cc_doc(doc: Mapping) -> CcInstance:
     check_object(doc, _CC_KEYS, "instance document")
 
     def chains(value, where: str) -> tuple[frozenset, ...]:
+        # Checked as a list first, so a chain that is no list reads "must be a list".
         return tuple(
-            frozenset(str(e) for e in doc_list(chain, f"{where}[{i}]"))
+            frozenset(doc_list(doc_list(chain, f"{where}[{i}]"), f"{where}[{i}]", str))
             for i, chain in enumerate(doc_list(value, where))
         )
 

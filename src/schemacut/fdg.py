@@ -5,8 +5,10 @@ dependency left-hand side, and every relation's attribute set.  Edges run
 from each dependency's lhs to each of its rhs attributes, plus one
 containment edge from each vertex to every strictly contained vertex (the
 projection dependencies), looked up in an attribute -> vertices index.
-Derived transitive dependencies are *not* materialised; reachability
-carries them, which reproduces the base graph exactly.
+Derived dependencies are *not* materialised, and reachability does not
+carry them all: a composite lhs vertex is entered only by containment,
+never from the parts that determine it, so security is decided by
+attribute closure (``closure.closure_masks``), not on this graph.
 
 Each graph indexes its edges once, on first use, as ``Fdg.children`` and
 ``Fdg.parents``; every walk over the graph reads them.
@@ -135,18 +137,17 @@ def transitive_closure_pairs(fdg: Fdg) -> frozenset[tuple[AttributeSet, Attribut
 def export_dot(fdg: Fdg, highlight: Iterable[EdgeRef] | None = None) -> str:
     """Render the graph as DOT, vertex labels joined from attribute names.
 
-    Edges in ``highlight`` are drawn bold and red.
+    Labels are double-quoted, with backslashes and quotes escaped.  Edges
+    in ``highlight`` are drawn bold and red.
     """
     hot = set(highlight or ())
-    lines = ["digraph fdg {"]
-    for vertex in fdg.vertices:
-        lines.append(f'  "{vertex.label}";')
+    quoted = {
+        v.attrs: '"' + v.label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        for v in fdg.vertices
+    }
+    lines = ["digraph fdg {"] + [f"  {quoted[v.attrs]};" for v in fdg.vertices]
     for edge in fdg.edges:
-        src = "".join(edge.src)
-        dst = "".join(edge.dst)
-        if edge.ref in hot:
-            lines.append(f'  "{src}" -> "{dst}" [color=red, style=bold];')
-        else:
-            lines.append(f'  "{src}" -> "{dst}";')
+        style = " [color=red, style=bold]" if edge.ref in hot else ""
+        lines.append(f"  {quoted[edge.src]} -> {quoted[edge.dst]}{style};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -8,26 +8,26 @@ the selection backwards, an edge goes when every forbidden chain stays
 hit without it; fewer constraints keep more associations), turns the
 remaining cut edges into new forbidden co-occurrences, and decomposes
 every relation.  The report's ``consistency.cut`` is the cut as decided,
-before reverse-delete.  The result is then *verified* by reachability,
-which no path bound limits: on the graph rebuilt over the fragments, no
-vertex (a fragment hosting the set is one) may reach all of a forbidden set.
+before reverse-delete.  The result is then *verified by closure*, which no
+path bound limits and which is the attacker's rule: no fragment's
+attribute closure, under the dependencies some fragment holds whole, may
+contain a forbidden set.
 
 Verification is load-bearing, not decorative.  A cut through a composite
 vertex's containment edge only bans the full composite, so smaller
 fragments can keep the association alive; when verification finds such a
-surviving association the pipeline cuts again on that same graph (one
-fragment graph per round) and re-decomposes until secure, or until the
-bounded chain enumeration finds nothing new to cut, which the report flags
-as not secure.  Required-set survival is also re-checked on the final
-fragments; failures downgrade the report with a warning rather than
-passing silently.
+surviving association the pipeline cuts again on the fragment graph and
+re-decomposes until secure, or until the bounded chain enumeration finds
+nothing new to cut (as for an association through a composite lhs), which
+the report flags as not secure.  Required-set survival is also re-checked
+on the final fragments; failures downgrade the report with a warning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closure import decompose_fds
+from .closure import associable, closure_masks, decompose_fds
 from .consistency import ConsistencyResult, check, make_instance
 from .cut import (
     CutSet,
@@ -42,7 +42,7 @@ from .decompose import (
     assemble,
     decompose_relation,
 )
-from .fdg import Fdg, build_fdg, reachable
+from .fdg import build_fdg
 from .joinchain import PathLimits, join_chains
 from .model import (
     AttributeSet,
@@ -69,43 +69,39 @@ class DecompositionReport:
 def fragment_schema(result: DecomposedSchema, schema: Schema) -> Schema:
     """Rebuild a schema whose relations are the fragments.
 
-    Dependencies survive when fully co-located in some fragment (found in
-    an attribute -> fragments index); keys are not re-derived (each
-    fragment gets its full attribute set as a trivial key, which the graph
-    construction never consults).
+    Dependencies survive when fully co-located in some fragment; keys are
+    not re-derived (each fragment gets its full attribute set as a trivial
+    key, which the graph construction never consults).
     """
     relations = tuple(
         Relation(frag.name, frag.attrs, frag.attrs) for frag in result.fragments
     )
+    return Schema(relations, _held_fds(result, decompose_fds(schema.fds)), schema.attribute_names)
+
+
+def _held_fds(result: DecomposedSchema, dfds) -> tuple:
+    """The dependencies of ``dfds`` that some fragment holds whole."""
     index = element_index(frag.attrs for frag in result.fragments)
-    kept = tuple(
-        dep for dep in decompose_fds(schema.fds) if holding_all(index, dep.lhs + dep.rhs)
-    )
-    return Schema(relations, kept, schema.attribute_names)
+    return tuple(dep for dep in dfds if holding_all(index, dep.lhs + dep.rhs))
 
 
-def _associable(fdg: Fdg, attrs: AttributeSet) -> bool:
-    """Whether one vertex of ``fdg`` reaches every attribute of ``attrs``."""
-    common = None
-    for name in attrs:
-        ancestors = reachable(fdg.parents, (name,)) if (name,) in fdg.parents else set()
-        common = ancestors if common is None else common & ancestors
-        if not common:
-            return False
-    return True
+def _closures(result: DecomposedSchema, dfds) -> dict[str, int]:
+    """``closure_masks`` of the fragments under the dependencies they hold."""
+    return closure_masks([frag.attrs for frag in result.fragments], _held_fds(result, dfds))
 
 
 def verify_decomposition(
     result: DecomposedSchema, schema: Schema, policy: Policy
 ) -> tuple[bool, tuple[tuple[AttributeSet, bool], ...]]:
-    """Check the decomposition against the policy on the rebuilt graph.
+    """Check the decomposition against the policy by attribute closure.
 
-    Secure iff no forbidden set is associable over the fragment graph.
-    Each required set is flagged with whether it is still associable.
+    Secure iff no forbidden set lies in the closure of one fragment under
+    the dependencies some fragment holds whole.  Each required set is
+    flagged with whether it is still associable in that sense.
     """
-    new_fdg = build_fdg(fragment_schema(result, schema))
-    secure = not any(_associable(new_fdg, forbidden) for forbidden in policy.forbidden)
-    required_flags = tuple((req, _associable(new_fdg, req)) for req in policy.required)
+    masks = _closures(result, decompose_fds(schema.fds))
+    secure = not any(associable(masks, forbidden) for forbidden in policy.forbidden)
+    required_flags = tuple((req, associable(masks, req)) for req in policy.required)
     return secure, required_flags
 
 
@@ -160,12 +156,13 @@ def secure_decompose(
 
     result = _decompose_all(schema, effective, new_forbidden, dfds, max_width)
     for rounds in range(_MAX_RECUT_ROUNDS + 1):
-        new_fdg = build_fdg(fragment_schema(result, schema))
-        unbroken = [s for s in policy.forbidden if _associable(new_fdg, s)]
+        masks = _closures(result, dfds)
+        unbroken = [s for s in policy.forbidden if associable(masks, s)]
         if not unbroken:
             break
         if rounds == _MAX_RECUT_ROUNDS:
             raise RuntimeError("re-cut did not converge")
+        new_fdg = build_fdg(fragment_schema(result, schema))
         extra_cut = greedy_cut([join_chains(new_fdg, s, limits) for s in unbroken], new_fdg)
         extra_sets = edges_to_forbidden_sets(extra_cut, new_fdg)
         progress = [s for s in extra_sets if s not in effective]
@@ -179,7 +176,7 @@ def secure_decompose(
         effective.extend(progress)
         new_forbidden.extend(progress)
         result = _decompose_all(schema, effective, new_forbidden, dfds, max_width)
-    required_flags = tuple((req, _associable(new_fdg, req)) for req in policy.required)
+    required_flags = tuple((req, associable(masks, req)) for req in policy.required)
 
     for req, ok in required_flags:
         if not ok:

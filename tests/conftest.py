@@ -4,7 +4,16 @@ import random
 
 import pytest
 
-from schemacut import Policy, Schema, build_fdg, fixtures, make_policy, make_schema
+from schemacut import (
+    Fragment,
+    Policy,
+    Schema,
+    attr_set,
+    build_fdg,
+    fixtures,
+    make_policy,
+    make_schema,
+)
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +62,59 @@ def random_schema(rng: random.Random, max_attrs: int = 12, max_relations: int = 
             if rng.random() < 0.8:
                 fds.append(([key], [other]))
     return make_schema(relations, fds)
+
+
+def composite_key_schema(rng: random.Random, max_attrs: int = 10, max_relations: int = 4):
+    """Small random schema whose keys have one or two attributes.
+
+    Shaped like ``random_schema``, but a two-attribute key gives
+    dependencies a composite left-hand side, so an association can need
+    several dependencies at once (the union rule).
+    """
+    n_attrs = rng.randint(3, max_attrs)
+    attrs = [f"a{i}" for i in range(n_attrs)]
+    relations = []
+    fds = []
+    for r in range(rng.randint(1, max_relations)):
+        members = rng.sample(attrs, rng.randint(2, min(4, n_attrs)))
+        key = members[:rng.randint(1, min(2, len(members)))]
+        relations.append((f"R{r}", members, key))
+        for other in members[len(key):]:
+            if rng.random() < 0.8:
+                fds.append((key, [other]))
+    return make_schema(relations, fds)
+
+
+def random_fragments(rng: random.Random, schema: Schema) -> list[Fragment]:
+    """Two random, possibly overlapping, non-empty parts of every relation."""
+    fragments = []
+    for rel in schema.relations:
+        for part in (1, 2):
+            attrs = rng.sample(rel.attributes, rng.randint(1, len(rel.attributes)))
+            fragments.append(Fragment(rel.name, attr_set(attrs), part))
+    return fragments
+
+
+def union_rule_doc() -> dict:
+    """R1(A,B), R2(A,C), R3(B,C,D) with A -> B, A -> C, BC -> D; {A, D} forbidden.
+
+    Joining the three relations on their keys associates A with D, yet no
+    join chain of the dependency graph does: the composite vertex BC is
+    reached only by containment, never from the parts that determine it.
+    """
+    return {
+        "relations": [
+            {"name": "R1", "attributes": ["A", "B"], "primary_key": ["A"]},
+            {"name": "R2", "attributes": ["A", "C"], "primary_key": ["A"]},
+            {"name": "R3", "attributes": ["B", "C", "D"], "primary_key": ["B", "C"]},
+        ],
+        "fds": [
+            {"lhs": ["A"], "rhs": ["B"]},
+            {"lhs": ["A"], "rhs": ["C"]},
+            {"lhs": ["B", "C"], "rhs": ["D"]},
+        ],
+        "policy": {"forbidden": [["A", "D"]], "required": []},
+    }
 
 
 def fd_chain_schema(steps: int):

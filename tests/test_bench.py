@@ -188,3 +188,11 @@ def test_durations_track_brute_force_set_size():
 
     small, large = median_ms(5), median_ms(120)
     assert large >= small * 0.5
+
+
+@pytest.mark.parametrize("name", [None, 5, ["Exp_1"]], ids=["null", "number", "list"])
+def test_grid_name_must_be_a_string(name):
+    with pytest.raises(SchemaError) as info:
+        load_grid_doc([GRID_ENTRY, {**GRID_ENTRY, "name": name}])
+    assert str(info.value) == "grid[1].name: must be a string"
+    assert load_grid_doc([GRID_ENTRY, {**GRID_ENTRY, "name": "x"}])[0] == ["Exp_1", "x"]

@@ -7,6 +7,7 @@ import pytest
 from schemacut import decomposition_from_dict, fixtures, load_schema_doc, secure_decompose
 from schemacut.cli import build_parser, main
 
+from .conftest import union_rule_doc
 from .goldens import V
 
 
@@ -75,6 +76,15 @@ def test_decompose_inconsistent_exits_2(tmp_path, capsys):
     code, stdout, stderr = run(capsys, "decompose", str(path))
     assert code == 2
     assert "inconsistent" in stderr
+
+
+def test_decompose_union_rule_association_exits_3(tmp_path, capsys):
+    path = tmp_path / "union.json"
+    path.write_text(json.dumps(union_rule_doc()))
+    code, stdout, stderr = run(capsys, "decompose", str(path))
+    assert code == 3
+    assert "warning: re-cut found no new cut; still associable: {A, D}\n" in stderr
+    assert "secure=false" in stderr
 
 
 def test_decompose_malformed_json_exits_1(tmp_path, capsys):
@@ -219,6 +229,15 @@ def test_check_badly_shaped_instance_exits_1(tmp_path, capsys):
     assert code == 1
     assert stdout == ""
     assert stderr == "error: forbidden: must be a list\n"
+
+
+def test_check_label_not_a_string_exits_1(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"forbidden": [[1, "1"]], "required": []}))
+    code, stdout, stderr = run(capsys, "check", str(path))
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "error: forbidden[0]: must be a list of strings\n"
 
 
 def test_check_first_instance(capsys):

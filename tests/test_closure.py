@@ -10,9 +10,13 @@ from schemacut import (
     FunctionalDependency,
     attribute_closure,
     attr_set,
+    candidate_sets,
     decompose_fds,
     identifiers_of,
 )
+from schemacut.closure import associable, closure_masks
+
+from .conftest import composite_key_schema, random_fragments
 
 F_R1 = decompose_fds(
     [
@@ -33,6 +37,27 @@ def brute_closure(start, fds):
                 out |= set(dep.rhs)
                 changed = True
     return attr_set(out)
+
+
+def worklist_closure(start, fds):
+    """Reference: the worklist ``attribute_closure`` ran before it wrapped
+    ``closure_masks`` (full passes over the single-rhs dependencies not yet
+    used, until one pass adds nothing)."""
+    closure = set(start)
+    pending = True
+    remaining = list(fds)
+    while pending:
+        pending = False
+        still = []
+        for dep in remaining:
+            if set(dep.lhs) <= closure:
+                if dep.rhs[0] not in closure:
+                    closure.add(dep.rhs[0])
+                    pending = True
+            else:
+                still.append(dep)
+        remaining = still
+    return attr_set(closure)
 
 
 def test_split_into_singletons():
@@ -158,3 +183,61 @@ def test_closure_is_extensive_monotone_idempotent(fds, s, t):
     assert attribute_closure(cs, dfds) == cs
     if s <= t:
         assert set(cs) <= set(attribute_closure(t, dfds))
+
+
+def groups_holding(masks, count):
+    """Per group, the attributes whose mask has the group's bit."""
+    return [attr_set(a for a, mask in masks.items() if mask >> i & 1) for i in range(count)]
+
+
+def test_closure_masks_of_the_union_rule():
+    # BC -> D fires for the groups that derive both B and C (A and BC), not for B.
+    dfds = decompose_fds(
+        [
+            FunctionalDependency(("A",), ("B", "C")),
+            FunctionalDependency(("B", "C"), ("D",)),
+        ]
+    )
+    masks = closure_masks([("A",), ("B",), ("B", "C"), ("E",)], dfds)
+    assert masks == {"A": 0b0001, "B": 0b0111, "C": 0b0101, "D": 0b0101, "E": 0b1000}
+    assert associable(masks, ("A", "D"))
+    assert not associable(masks, ("B", "E"))
+    assert not associable(masks, ("A", "F"))
+    assert closure_masks([], dfds) == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_closure_masks_match_the_worklist_closure_of_every_group(rng):
+    schema = composite_key_schema(rng)
+    dfds = decompose_fds(schema.fds)
+    groups = [frag.attrs for frag in random_fragments(rng, schema)]
+    masks = closure_masks(groups, dfds)
+    assert groups_holding(masks, len(groups)) == [worklist_closure(g, dfds) for g in groups]
+    assert all(masks.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fd_sets(), st.lists(st.sets(st.sampled_from("ABCDEF"), max_size=4), max_size=5))
+def test_closure_masks_close_undecomposed_dependencies(fds, groups):
+    masks = closure_masks(groups, fds)
+    assert groups_holding(masks, len(groups)) == [brute_closure(g, fds) for g in groups]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_identifiers_of_matches_a_per_candidate_closure(rng):
+    schema = composite_key_schema(rng)
+    dfds = decompose_fds(schema.fds)
+    candidates = list(candidate_sets(schema))
+    want = {
+        attr: tuple(
+            cand
+            for cand in candidates
+            if attr not in cand and attr in worklist_closure(cand, dfds)
+        )
+        for attr in schema.attribute_names
+    }
+    rng.shuffle(candidates)
+    for attr in schema.attribute_names:
+        assert identifiers_of(attr, dfds, candidates + candidates[:2]) == want[attr]

@@ -384,6 +384,9 @@ def test_cc_document_parsing():
         ({"required": [["a"]]}, r"^required\[0\]\[0\]: must be a list$"),
         ({"required": [[["a"]], 5]}, r"^required\[1\]: must be a list$"),
         ([["a"]], r"^instance document: must be an object$"),
+        ({"forbidden": [["a", 1]]}, r"^forbidden\[0\]: must be a list of strings$"),
+        ({"forbidden": [[None]]}, r"^forbidden\[0\]: must be a list of strings$"),
+        ({"required": [[["a"], [True]]]}, r"^required\[0\]\[1\]: must be a list of strings$"),
     ],
     ids=[
         "forbidden-a-number",
@@ -392,6 +395,9 @@ def test_cc_document_parsing():
         "family-holds-a-string",
         "family-a-number",
         "document-a-list",
+        "label-a-number",
+        "label-null",
+        "label-a-boolean",
     ],
 )
 def test_cc_document_shape_errors_name_the_field(doc, message):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 from schemacut import (
     attribute_closure,
@@ -149,6 +150,30 @@ def test_composite_destination_counterexample(ex1_fdg, example1):
 def test_dot_empty_graph():
     fdg = build_fdg(make_schema([], []))
     assert export_dot(fdg) == "digraph fdg {\n}\n"
+
+
+_DOT_ID = r'"((?:[^"\\]|\\.)*)"'
+_DOT_LINE = re.compile(rf"  {_DOT_ID}(?: -> {_DOT_ID}(?: \[color=red, style=bold\])?)?;")
+
+
+def _unescape(label):
+    return re.sub(r"\\(.)", r"\1", label)
+
+
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    names = ['a"b', "c\\", 'd\\"e', "plain"]
+    schema = make_schema([("R", names, ['a"b'])], [(['a"b'], ["c\\", 'd\\"e'])])
+    fdg = build_fdg(schema)
+    dot = export_dot(fdg, [fdg.edges[0].ref])
+    lines = dot.splitlines()
+    assert lines[0] == "digraph fdg {" and lines[-1] == "}"
+    matches = [_DOT_LINE.fullmatch(line) for line in lines[1:-1]]
+    assert all(matches), [line for line, m in zip(lines[1:-1], matches) if not m]
+    vertices = [_unescape(m[1]) for m in matches if m[2] is None]
+    edges = [(_unescape(m[1]), _unescape(m[2])) for m in matches if m[2] is not None]
+    assert vertices == [v.label for v in fdg.vertices]
+    assert edges == [("".join(e.src), "".join(e.dst)) for e in fdg.edges]
+    assert dot.count("[color=red, style=bold]") == 1
 
 
 def test_dot_highlight_marks_exactly_the_chain(ex1_fdg):

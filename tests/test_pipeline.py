@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from schemacut import (
     DecomposedSchema,
     Fragment,
@@ -12,6 +15,7 @@ from schemacut import (
     greedy_cut,
     join_chains,
     build_fdg,
+    load_schema_doc,
     make_policy,
     make_schema,
     report_to_dict,
@@ -22,7 +26,15 @@ from schemacut import (
 from schemacut import pipeline
 from schemacut.decompose import assemble
 
-from .conftest import fd_chain_schema, random_policy, random_schema
+from .conftest import (
+    composite_key_schema,
+    fd_chain_schema,
+    random_fragments,
+    random_policy,
+    random_schema,
+    union_rule_doc,
+)
+from .test_closure import worklist_closure
 from .goldens import EX2_NEW_FORBIDDEN, EX2_RELAXED_FRAGMENTS, V
 
 
@@ -221,6 +233,65 @@ def test_association_beyond_path_limits_is_not_reported_secure():
     assert report.warnings[-1] == "re-cut found no new cut; still associable: {A, C}"
 
 
+def test_union_rule_association_is_not_reported_secure():
+    # R1 joined with R2 on A derives B and C, and BC -> D then adds D, so
+    # the key joins associate A with D although no join chain does.  The
+    # re-cut finds no chain to cut, so the report must say not secure.
+    schema, policy = load_schema_doc(union_rule_doc())
+    report = secure_decompose(schema, policy)
+    assert report.consistency.consistent
+    assert not report.security_verified
+    assert report.warnings == ("re-cut found no new cut; still associable: {A, D}",)
+    assert verify_decomposition(report.result, schema, policy) == (False, ())
+
+
+def _random_verification_case(rng):
+    """A composite-key schema, a random fragmentation and a policy over it."""
+    schema = composite_key_schema(rng)
+    pool = list(schema.attribute_names)
+    sets = [rng.sample(pool, rng.randint(2, min(3, len(pool)))) for _ in range(4)]
+    policy = make_policy(schema, forbidden=sets[:2], required=sets)
+    return schema, DecomposedSchema(tuple(random_fragments(rng, schema)), (), ()), policy
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+@example(random.Random(214))  # {a0, a6, a7}: only a1a5 -> a0 joins them
+def test_verification_flags_exactly_what_a_fragment_closure_holds(rng):
+    schema, result, policy = _random_verification_case(rng)
+    held = scanned_fragment_fds(result, schema)
+    closures = [set(worklist_closure(frag.attrs, held)) for frag in result.fragments]
+
+    def inferable(attrs):
+        return any(set(attrs) <= closure for closure in closures)
+
+    secure, flags = verify_decomposition(result, schema, policy)
+    assert dict(flags) == {s: inferable(s) for s in policy.required}
+    assert secure == (not any(inferable(s) for s in policy.forbidden))
+
+
+def test_verification_is_never_weaker_than_join_chains_on_composite_keys():
+    # Every set a join chain of the fragment graph associates is flagged,
+    # and some sets are flagged that only the union rule associates.
+    rng = random.Random(1979)
+    union_only = 0
+    for _ in range(300):
+        schema, result, policy = _random_verification_case(rng)
+        fragment_fdg = build_fdg(fragment_schema(result, schema))
+        covered = {a for frag in result.fragments for a in frag.attrs}
+        families = {
+            s: join_chains(fragment_fdg, s) for s in policy.required if covered.issuperset(s)
+        }
+        if any(fam.truncated for fam in families.values()):
+            continue
+        _, flags = verify_decomposition(result, schema, policy)
+        for s, ok in flags:
+            chained = s in families and bool(families[s].chains)
+            assert ok or not chained
+            union_only += ok and not chained
+    assert union_only > 0
+
+
 def test_required_set_flags(example2):
     schema, _ = example2
     policy = make_policy(schema, forbidden=[["A", "D"]], required=[["B", "C"], ["E", "G"]])
@@ -269,9 +340,9 @@ def test_recut_restores_security_for_containment_cuts(monkeypatch):
     assert rounds >= 1
     assert V("as") in report.result.new_forbidden
     assert V("au") in report.result.new_forbidden
-    # The schema's graph, then one fragment graph per decomposition: each
-    # round checks and re-cuts on the same graph.
-    assert len(builds) == 2 + rounds
+    # The schema's graph, then one fragment graph per re-cut round: the
+    # check itself is a closure over the fragments and builds no graph.
+    assert len(builds) == 1 + rounds
 
 
 def test_idempotent_on_already_secure_schema(example2):
