@@ -246,6 +246,25 @@ class _ChainChoice:
         return chain
 
 
+def _preserved_choice(
+    instance: CcInstance, start: float, timeout_s: float | None
+) -> list[frozenset] | None:
+    """The first consistent choice of one chain per family, or None.
+
+    The walk starts at the first chain of every family; when that choice
+    wholly protects no forbidden chain, it is returned at once, without
+    building ``_ChainChoice``'s index.
+    """
+    if not all(instance.required_families):
+        return None
+    first = [family[0] for family in instance.required_families]
+    protected = frozenset().union(*first)
+    if not any(chain <= protected for chain in instance.forbidden_chains):
+        return first
+    moves = _ChainChoice(instance)
+    return moves.chosen if _depth_first(moves, start, timeout_s) else None
+
+
 def check_required_first(
     instance: CcInstance,
     *,
@@ -260,18 +279,19 @@ def check_required_first(
     Cartesian-product order that leaves every forbidden chain an escape
     edge wins; the cut is then built greedily over the forbidden chains
     restricted to unprotected edges.  An empty family makes the instance
-    inconsistent without a search.
+    inconsistent without a search, and a first choice (the first chain of
+    every family) that passes is taken without one.
     """
     start = time.perf_counter()
     if _deadline_passed(start, timeout_s, 0):
         raise ConsistencyTimeout
-    choice = _ChainChoice(instance)
-    if all(instance.required_families) and _depth_first(choice, start, timeout_s):
-        protected = frozenset().union(*choice.chosen)
+    chosen = _preserved_choice(instance, start, timeout_s)
+    if chosen is not None:
+        protected = frozenset().union(*chosen)
         restricted = [chain - protected for chain in instance.forbidden_chains]
         cut = greedy_hitting_set(restricted, edge_sort_key)
         elapsed = (time.perf_counter() - start) * 1000.0
-        return ConsistencyResult(True, cut, tuple(choice.chosen), "required-first", elapsed)
+        return ConsistencyResult(True, cut, tuple(chosen), "required-first", elapsed)
     elapsed = (time.perf_counter() - start) * 1000.0
     return ConsistencyResult(False, None, None, "required-first", elapsed)
 

@@ -11,7 +11,10 @@ never from the parts that determine it, so security is decided by
 attribute closure (``closure.closure_masks``), not on this graph.
 
 Each graph indexes its edges once, on first use, as ``Fdg.children`` and
-``Fdg.parents``; every walk over the graph reads them.
+``Fdg.parents``; every walk over the graph reads them.  ``pipeline`` keeps
+the last schema's graph between calls, so a schema decomposed under many
+policies is built and indexed once; a fragment graph is built for one
+re-cut round and dropped after it.
 """
 
 from __future__ import annotations
@@ -135,19 +138,22 @@ def transitive_closure_pairs(fdg: Fdg) -> frozenset[tuple[AttributeSet, Attribut
 
 
 def export_dot(fdg: Fdg, highlight: Iterable[EdgeRef] | None = None) -> str:
-    """Render the graph as DOT, vertex labels joined from attribute names.
+    """Render the graph as DOT: one node per vertex, named by its index.
 
-    Labels are double-quoted, with backslashes and quotes escaped.  Edges
-    in ``highlight`` are drawn bold and red.
+    Node ``n<i>`` is ``fdg.vertices[i]``, so vertices whose joined names
+    coincide (``{A, B}`` and ``{AB}``) stay apart.  Labels are the joined
+    attribute names, double-quoted, with backslashes and quotes escaped.
+    Edges in ``highlight`` are drawn bold and red.
     """
     hot = set(highlight or ())
-    quoted = {
-        v.attrs: '"' + v.label.replace("\\", "\\\\").replace('"', '\\"') + '"'
-        for v in fdg.vertices
-    }
-    lines = ["digraph fdg {"] + [f"  {quoted[v.attrs]};" for v in fdg.vertices]
+    node: dict[AttributeSet, str] = {}
+    lines = ["digraph fdg {"]
+    for i, v in enumerate(fdg.vertices):
+        node[v.attrs] = f"n{i}"
+        label = v.label.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  n{i} [label="{label}"];')
     for edge in fdg.edges:
         style = " [color=red, style=bold]" if edge.ref in hot else ""
-        lines.append(f"  {quoted[edge.src]} -> {quoted[edge.dst]}{style};")
+        lines.append(f"  {node[edge.src]} -> {node[edge.dst]}{style};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -21,11 +21,17 @@ re-decomposes until secure, or until the bounded chain enumeration finds
 nothing new to cut (as for an association through a composite lhs), which
 the report flags as not secure.  Required-set survival is also re-checked
 on the final fragments; failures downgrade the report with a warning.
+
+The last schema's graph, with its edge index, is kept between calls (a
+one-entry cache keyed by the schema value), so decomposing one schema
+under many policies builds its graph once.  Fragment graphs are never
+cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .closure import associable, closure_masks, decompose_fds
 from .consistency import ConsistencyResult, check, make_instance
@@ -42,7 +48,7 @@ from .decompose import (
     assemble,
     decompose_relation,
 )
-from .fdg import build_fdg
+from .fdg import Fdg, build_fdg
 from .joinchain import PathLimits, join_chains
 from .model import (
     AttributeSet,
@@ -64,6 +70,15 @@ class DecompositionReport:
     security_verified: bool
     required_verified: tuple[tuple[AttributeSet, bool], ...]
     warnings: tuple[str, ...]
+
+
+@lru_cache(maxsize=1)
+def _base_graph(schema: Schema) -> Fdg:
+    """``build_fdg(schema)``, kept for the last schema seen (one entry).
+
+    Every call on that schema shares the graph, so none may change it.
+    """
+    return build_fdg(schema)
 
 
 def fragment_schema(result: DecomposedSchema, schema: Schema) -> Schema:
@@ -122,7 +137,7 @@ def secure_decompose(
     schema, policy, warnings = preprocess_policy(schema, policy)
     warnings = list(warnings)
 
-    fdg = build_fdg(schema)
+    fdg = _base_graph(schema)
     forbidden_families = [join_chains(fdg, s, limits) for s in policy.forbidden]
     required_families = [join_chains(fdg, s, limits) for s in policy.required]
     for fam in forbidden_families + required_families:

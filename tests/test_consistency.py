@@ -201,6 +201,22 @@ def test_every_pick_attempt_counts_toward_the_deadline(monkeypatch):
     assert max(steps) == 3000
 
 
+def test_required_first_builds_no_index_when_the_first_choice_passes(monkeypatch):
+    from schemacut import consistency
+
+    built = []
+    real = consistency._ChainChoice
+    monkeypatch.setattr(consistency, "_ChainChoice", lambda inst: built.append(inst) or real(inst))
+    passes = make_instance([["a", "b"]], [[["a"], ["b"]], [["c"]]])
+    assert check_required_first(passes).preserved == (frozenset("a"), frozenset("c"))
+    assert check_required_first(make_instance([["a"]], [])).consistent
+    assert built == []
+    # {a, c} is wholly protected by the first choice: the walk decides.
+    fails = make_instance([["a", "c"]], [[["a"], ["b"]], [["c"]]])
+    assert check_required_first(fails).preserved == (frozenset("b"), frozenset("c"))
+    assert built == [fails]
+
+
 def test_required_first_decides_an_empty_family_without_a_search():
     # Walking the 2**30 prefixes before the empty family would not finish.
     families = [[[f"x{i}"], [f"y{i}"]] for i in range(30)]

@@ -152,12 +152,28 @@ def test_dot_empty_graph():
     assert export_dot(fdg) == "digraph fdg {\n}\n"
 
 
-_DOT_ID = r'"((?:[^"\\]|\\.)*)"'
-_DOT_LINE = re.compile(rf"  {_DOT_ID}(?: -> {_DOT_ID}(?: \[color=red, style=bold\])?)?;")
+_DOT_NODE = re.compile(r'  n(\d+) \[label="((?:[^"\\]|\\.)*)"\];')
+_DOT_EDGE = re.compile(r"  n(\d+) -> n(\d+)( \[color=red, style=bold\])?;")
 
 
 def _unescape(label):
     return re.sub(r"\\(.)", r"\1", label)
+
+
+def _parse_dot(dot):
+    """Node labels by index, and (src index, dst index, highlighted) edges."""
+    lines = dot.splitlines()
+    assert lines[0] == "digraph fdg {" and lines[-1] == "}"
+    labels, edges = [], []
+    for line in lines[1:-1]:
+        node, edge = _DOT_NODE.fullmatch(line), _DOT_EDGE.fullmatch(line)
+        assert node or edge, line
+        if node:
+            assert int(node[1]) == len(labels) and not edges
+            labels.append(_unescape(node[2]))
+        else:
+            edges.append((int(edge[1]), int(edge[2]), edge[3] is not None))
+    return labels, edges
 
 
 def test_dot_escapes_quotes_and_backslashes_in_labels():
@@ -165,22 +181,30 @@ def test_dot_escapes_quotes_and_backslashes_in_labels():
     schema = make_schema([("R", names, ['a"b'])], [(['a"b'], ["c\\", 'd\\"e'])])
     fdg = build_fdg(schema)
     dot = export_dot(fdg, [fdg.edges[0].ref])
-    lines = dot.splitlines()
-    assert lines[0] == "digraph fdg {" and lines[-1] == "}"
-    matches = [_DOT_LINE.fullmatch(line) for line in lines[1:-1]]
-    assert all(matches), [line for line, m in zip(lines[1:-1], matches) if not m]
-    vertices = [_unescape(m[1]) for m in matches if m[2] is None]
-    edges = [(_unescape(m[1]), _unescape(m[2])) for m in matches if m[2] is not None]
-    assert vertices == [v.label for v in fdg.vertices]
-    assert edges == [("".join(e.src), "".join(e.dst)) for e in fdg.edges]
-    assert dot.count("[color=red, style=bold]") == 1
+    labels, edges = _parse_dot(dot)
+    assert labels == [v.label for v in fdg.vertices]
+    attrs = [v.attrs for v in fdg.vertices]
+    assert [(attrs[s], attrs[d]) for s, d, _ in edges] == [e.ref for e in fdg.edges]
+    assert [hot for _, _, hot in edges] == [True] + [False] * (len(edges) - 1)
+
+
+def test_dot_gives_vertices_with_equal_labels_their_own_nodes():
+    # {A, B} and {AB} both print as "AB"; each must stay its own node.
+    fdg = build_fdg(make_schema([("R", ["A", "B"]), ("S", ["AB", "C"])]))
+    labels, edges = _parse_dot(export_dot(fdg))
+    attrs = [v.attrs for v in fdg.vertices]
+    assert labels.count("AB") == 2
+    assert {attrs[i] for i, label in enumerate(labels) if label == "AB"} == {("A", "B"), ("AB",)}
+    assert [(attrs[s], attrs[d]) for s, d, _ in edges] == [e.ref for e in fdg.edges]
+    assert (attrs.index(("AB", "C")), attrs.index(("AB",)), False) in edges
 
 
 def test_dot_highlight_marks_exactly_the_chain(ex1_fdg):
     chain = next(c for c in EX1_FB_CHAINS if len(c) == 4 and (V("AE"), V("A")) in c)
-    dot = export_dot(ex1_fdg, chain)
-    assert dot.count("[color=red, style=bold]") == 4
-    assert '"AE" -> "A" [color=red, style=bold];' in dot
+    _, edges = _parse_dot(export_dot(ex1_fdg, chain))
+    attrs = [v.attrs for v in ex1_fdg.vertices]
+    assert {(attrs[s], attrs[d]) for s, d, hot in edges if hot} == set(chain)
+    assert (attrs.index(V("AE")), attrs.index(V("A")), True) in edges
 
 
 def test_dot_example2_has_30_edges(ex2_fdg):

@@ -331,3 +331,38 @@ def test_dense_key_cycle_keeps_the_minimal_chains_in_order(monkeypatch):
     assert not any(a < b for a in kept for b in kept)
     by_size = sorted(kept, key=len)
     assert all(any(k <= c for k in by_size) for c in candidates)
+
+
+def _families(fdg, sets, limits):
+    return [(fam.chains, fam.truncated) for fam in (join_chains(fdg, s, limits) for s in sets)]
+
+
+def _fresh_families(schema, sets, limits):
+    """Reference: every set on a graph of its own, so no index is shared."""
+    return [_families(build_fdg(schema), [s], limits)[0] for s in sets]
+
+
+def test_one_graph_under_two_limits_matches_fresh_graphs():
+    # One graph serves calls under any limits: a truncating call must not
+    # change what a full one finds on the same graph, nor the reverse.
+    schema = dense_key_cycle(4)
+    sets = [["a0", "a1"], ["a1", "a2"], ["a0", "k3"], ["a0", "a1"]]
+    full, tight = PathLimits(), PathLimits(max_paths_per_target=2, max_path_length=3)
+    shared = build_fdg(schema)
+    for limits in (tight, full, tight, full):
+        assert _families(shared, sets, limits) == _fresh_families(schema, sets, limits)
+    assert all(truncated for _, truncated in _families(shared, sets, tight))
+    assert not any(truncated for _, truncated in _families(shared, sets, full))
+
+
+def test_shared_graph_matches_fresh_graphs_on_random_schemas():
+    rng = random.Random(29)
+    for _ in range(100):
+        schema = random_schema(rng)
+        names = schema.attribute_names
+        sets = [rng.sample(names, min(len(names), rng.randint(1, 3))) for _ in range(6)]
+        limits = rng.choice([PathLimits(), PathLimits(max_paths_per_target=1)])
+        shared = build_fdg(schema)
+        want = _fresh_families(schema, sets, limits)
+        assert _families(shared, sets, limits) == want
+        assert _families(shared, sets, limits) == want

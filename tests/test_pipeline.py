@@ -318,10 +318,10 @@ def test_inconsistent_policy_reports_no_fragments():
     assert doc["fragments"] == [] and doc["consistent"] is False
 
 
-def test_recut_restores_security_for_containment_cuts(monkeypatch):
-    # A shared containment edge tops the greedy order, but banning the
-    # whole composite leaves its smaller fragments associable; the
-    # verify-and-recut round must catch and fix that.
+def containment_recut_case():
+    """A shared containment edge tops the greedy order, but banning the
+    whole composite leaves its smaller fragments associable: one re-cut
+    round on the fragment graph is needed."""
     schema = make_schema(
         [
             ("R1", ["a", "b", "p"]),
@@ -331,7 +331,13 @@ def test_recut_restores_security_for_containment_cuts(monkeypatch):
         ],
         [(["a"], ["s"]), (["a"], ["u"]), (["b"], ["t"]), (["p"], ["q"])],
     )
-    policy = make_policy(schema, forbidden=[["s", "t"], ["u", "q"]])
+    return schema, make_policy(schema, forbidden=[["s", "t"], ["u", "q"]])
+
+
+def test_recut_restores_security_for_containment_cuts(monkeypatch):
+    # The verify-and-recut round must catch and fix the surviving association.
+    schema, policy = containment_recut_case()
+    pipeline._base_graph.cache_clear()
     builds = []
     monkeypatch.setattr(pipeline, "build_fdg", lambda s: builds.append(s) or build_fdg(s))
     report = secure_decompose(schema, policy)
@@ -343,6 +349,46 @@ def test_recut_restores_security_for_containment_cuts(monkeypatch):
     # The schema's graph, then one fragment graph per re-cut round: the
     # check itself is a closure over the fragments and builds no graph.
     assert len(builds) == 1 + rounds
+
+
+def test_recut_round_leaves_the_base_graph_cached(monkeypatch):
+    # Fragment graphs are built beside the cache, never in it: after a
+    # re-cut round the next call on the schema builds only fragment graphs.
+    schema, policy = containment_recut_case()
+    pipeline._base_graph.cache_clear()
+    first = secure_decompose(schema, policy)
+    rounds = sum("additional co-occurrence" in w for w in first.warnings)
+    assert rounds >= 1
+    assert pipeline._base_graph.cache_info().currsize == 1
+    builds = []
+    monkeypatch.setattr(pipeline, "build_fdg", lambda s: builds.append(s) or build_fdg(s))
+    hits = pipeline._base_graph.cache_info().hits
+    second = secure_decompose(schema, policy)
+    assert pipeline._base_graph.cache_info().hits == hits + 1
+    assert len(builds) == rounds and schema not in builds
+    assert report_to_dict(second) == report_to_dict(first)
+
+
+def test_interleaved_schemas_match_reports_made_without_the_cache(example1, example2):
+    # Two schemas taking turns evict each other from the one-entry cache;
+    # repeats of one schema hit it.  Every report must equal one made on a
+    # cleared cache.
+    calls = [example1, example2, example2, example1, example1, example2, example1]
+    rng = random.Random(8)
+    for _ in range(4):
+        schema = random_schema(rng)
+        calls += [(schema, random_policy(rng, schema))] * 2
+    calls += [containment_recut_case()] * 2 + [example2]
+    want = []
+    for schema, policy in calls:
+        pipeline._base_graph.cache_clear()
+        want.append(report_to_dict(secure_decompose(schema, policy)))
+    pipeline._base_graph.cache_clear()
+    for _ in range(2):
+        got = [report_to_dict(secure_decompose(schema, policy)) for schema, policy in calls]
+        assert got == want
+    info = pipeline._base_graph.cache_info()
+    assert info.hits > 0 and info.currsize == 1
 
 
 def test_idempotent_on_already_secure_schema(example2):
