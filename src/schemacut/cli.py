@@ -29,7 +29,7 @@ from .consistency import ConsistencyTimeout, check, load_cc_instance
 from .decompose import WidthBoundExceeded, sql_views
 from .fdg import build_fdg, export_dot
 from .joinchain import PathLimits, join_chains
-from .model import SchemaError, load_schema
+from .model import SchemaError, load_schema, preprocess_policy
 from .pipeline import report_to_dict, secure_decompose
 
 EXIT_OK = 0
@@ -84,8 +84,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if args.sql:
         Path(args.sql).write_text(sql_views(report.result), encoding="utf-8")
     if args.dot:
+        # The cut was made on the preprocessed schema's graph; draw that one.
+        cut_fdg = build_fdg(preprocess_policy(schema, policy)[0])
         cut_refs = set(report.consistency.cut or ())
-        Path(args.dot).write_text(export_dot(build_fdg(schema), cut_refs), encoding="utf-8")
+        Path(args.dot).write_text(export_dot(cut_fdg, cut_refs), encoding="utf-8")
 
     fragments = len(report.result.fragments)
     cut_size = len(report.consistency.cut or ())

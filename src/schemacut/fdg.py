@@ -11,10 +11,12 @@ never from the parts that determine it, so security is decided by
 attribute closure (``closure.closure_masks``), not on this graph.
 
 Each graph indexes its edges once, on first use, as ``Fdg.children`` and
-``Fdg.parents``; every walk over the graph reads them.  ``pipeline`` keeps
-the last schema's graph between calls, so a schema decomposed under many
-policies is built and indexed once; a fragment graph is built for one
-re-cut round and dropped after it.
+``Fdg.parents``; every walk over the graph reads them.  ``Fdg.parent_walks``
+memoises ``joinchain``'s ancestor walks, one per (target, limits), so a
+target shared by many policies is walked once per graph.  ``pipeline``
+keeps the last schema's graph between calls, so a schema decomposed under
+many policies is built, indexed and walked once; a fragment graph is
+built for one re-cut round and dropped after it, with its walks.
 """
 
 from __future__ import annotations
@@ -73,6 +75,15 @@ class Fdg:
     def parents(self) -> Adjacency:
         """Per vertex, its (parent, edge ref) pairs in vertex order."""
         return self._index(lambda edge: (edge.dst, edge.src))
+
+    @cached_property
+    def parent_walks(self) -> dict:
+        """Ancestor walks over ``parents``, keyed by (start vertex, limits).
+
+        Filled by ``joinchain.join_chains``.  A walk depends only on the
+        graph, its start and the limits, so every caller shares it.
+        """
+        return {}
 
     def _index(self, ends) -> Adjacency:
         adj: dict[AttributeSet, list] = {v.attrs: [] for v in self.vertices}

@@ -5,12 +5,18 @@ per target attribute, all starting from one common ancestor vertex.  The
 enumeration walks each target's parents (one iterative DFS each), combines
 paths per shared end vertex, and discards chains that contain another
 chain.  A target that is itself the ancestor contributes an empty path.
+
+Each target's walk is taken from the graph's memo (``Fdg.parent_walks``),
+so policies sharing a target over one graph walk it once per limits.
+Memoised walks are shared, so ``SimplePaths.paths`` is read-only.
+Forward walks (``enumerate_simple_paths``) are not memoised.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .fdg import Adjacency, EdgeRef, Fdg
@@ -67,7 +73,7 @@ def walk_simple_paths(adjacency: Adjacency, start: AttributeSet, limits: PathLim
 
     The start maps to the single empty path.  Paths hold the refs stored in
     ``adjacency`` and are found depth-first, neighbours in adjacency order,
-    so the output is deterministic.
+    so the output is deterministic.  ``paths`` is a read-only mapping.
     """
     max_len = limits.max_path_length or max(len(adjacency), 1)
     paths: dict[AttributeSet, list[tuple[EdgeRef, ...]]] = {start: [()]}
@@ -97,7 +103,8 @@ def walk_simple_paths(adjacency: Adjacency, start: AttributeSet, limits: PathLim
             if stack:
                 on_trail.remove(here)
                 trail.pop()
-    return SimplePaths(start, {k: tuple(v) for k, v in paths.items()}, truncated)
+    frozen = MappingProxyType({k: tuple(v) for k, v in paths.items()})
+    return SimplePaths(start, frozen, truncated)
 
 
 def enumerate_simple_paths(
@@ -117,7 +124,8 @@ def join_chains(
     Every target must exist as a single-attribute vertex.  For each common
     ancestor, every combination of one simple path per target yields a
     candidate chain; identical edge sets collapse and chains containing
-    another chain are dropped.
+    another chain are dropped.  Each target's ancestor walk is memoised on
+    ``fdg``.
     """
     limits = limits or PathLimits()
     source_set = attr_set(targets)
@@ -126,7 +134,7 @@ def join_chains(
         if tv not in fdg.parents:
             raise SchemaError(f"unknown target attribute {tv[0]!r}")
 
-    per_target = {tv: walk_simple_paths(fdg.parents, tv, limits) for tv in target_vertices}
+    per_target = {tv: _ancestor_walk(fdg, tv, limits) for tv in target_vertices}
     truncated = any(sp.truncated for sp in per_target.values())
 
     ancestors = sorted(
@@ -148,3 +156,17 @@ def join_chains(
 
     kept = tuple(chains[edges] for edges in minimal_sets(chains))
     return ChainFamily(source_set, kept, truncated)
+
+
+def _ancestor_walk(fdg: Fdg, target: AttributeSet, limits: PathLimits) -> SimplePaths:
+    """``walk_simple_paths`` over ``fdg.parents``, once per (target, limits).
+
+    Threads that miss together each walk, and the first walk stored wins;
+    the walks are equal, so no lock is needed.
+    """
+    memo = fdg.parent_walks
+    key = (target, limits)
+    walk = memo.get(key)
+    if walk is None:
+        walk = memo.setdefault(key, walk_simple_paths(fdg.parents, target, limits))
+    return walk

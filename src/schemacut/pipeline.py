@@ -22,10 +22,12 @@ nothing new to cut (as for an association through a composite lhs), which
 the report flags as not secure.  Required-set survival is also re-checked
 on the final fragments; failures downgrade the report with a warning.
 
-The last schema's graph, with its edge index, is kept between calls (a
-one-entry cache keyed by the schema value), so decomposing one schema
-under many policies builds its graph once.  Fragment graphs are never
-cached.
+Everything the schema alone determines is kept for the last schema seen
+(a one-entry cache keyed by the schema value): its graph, with its edge
+index and its memoised ancestor walks, and its decomposed dependencies.
+Decomposing one schema under many policies builds the graph, walks each
+target and decomposes the dependencies once.  Fragment graphs are never
+cached; their walks are dropped with them.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .closure import associable, closure_masks, decompose_fds
+from .closure import DecomposedFdSet, associable, closure_masks, decompose_fds
 from .consistency import ConsistencyResult, check, make_instance
 from .cut import (
     CutSet,
@@ -73,12 +75,14 @@ class DecompositionReport:
 
 
 @lru_cache(maxsize=1)
-def _base_graph(schema: Schema) -> Fdg:
-    """``build_fdg(schema)``, kept for the last schema seen (one entry).
+def _base_graph(schema: Schema) -> tuple[Fdg, DecomposedFdSet]:
+    """``build_fdg(schema)`` and ``decompose_fds(schema.fds)``, kept for the
+    last schema seen (one entry).
 
-    Every call on that schema shares the graph, so none may change it.
+    Every call on that schema shares both (and the graph's walk memo), so
+    none may change them.
     """
-    return build_fdg(schema)
+    return build_fdg(schema), decompose_fds(schema.fds)
 
 
 def fragment_schema(result: DecomposedSchema, schema: Schema) -> Schema:
@@ -137,7 +141,7 @@ def secure_decompose(
     schema, policy, warnings = preprocess_policy(schema, policy)
     warnings = list(warnings)
 
-    fdg = _base_graph(schema)
+    fdg, dfds = _base_graph(schema)
     forbidden_families = [join_chains(fdg, s, limits) for s in policy.forbidden]
     required_families = [join_chains(fdg, s, limits) for s in policy.required]
     for fam in forbidden_families + required_families:
@@ -162,7 +166,6 @@ def secure_decompose(
 
     cut: CutSet = reverse_delete(consistency.cut, instance.forbidden_chains)
     new_forbidden = list(edges_to_forbidden_sets(cut, fdg))
-    dfds = decompose_fds(schema.fds)
 
     effective = list(policy.forbidden)
     for s in new_forbidden:

@@ -14,6 +14,7 @@ from schemacut import (
     make_policy,
     make_schema,
 )
+from schemacut import joinchain
 
 
 @pytest.fixture(scope="session")
@@ -142,3 +143,47 @@ def random_policy(rng: random.Random, schema: Schema, max_sets: int = 3):
         size = rng.randint(2, min(3, len(pool)))
         sets.append(rng.sample(pool, size))
     return make_policy(schema, forbidden=sets)
+
+
+def snowflake_schema(entities: int):
+    """Entity i: key k_i determining a_i, b_i, c_i and its parent's key.
+
+    Entity i's parent is entity (i - 1) // 2, so the keys form a binary tree
+    rooted at k_0 and every attribute's ancestors run up one tree line.
+    """
+    relations, fds = [], []
+    for i in range(entities):
+        key = f"k_{i}"
+        rest = [f"a_{i}", f"b_{i}", f"c_{i}"] + ([f"k_{(i - 1) // 2}"] if i else [])
+        relations.append((f"E_{i}", [key, *rest], [key]))
+        fds.append(([key], rest))
+    return make_schema(relations, fds)
+
+
+def snowflake_policy(rng: random.Random, schema: Schema, entities: int, pairs: int):
+    """Forbidden pairs {x_i, y_j}, j a proper ancestor of entity i, so every
+    pair is joinable and policies drawn on one schema share targets."""
+    chosen: set[tuple[str, str]] = set()
+    while len(chosen) < pairs:
+        i = rng.randrange(1, entities)
+        line, j = [], i
+        while j:
+            j = (j - 1) // 2
+            line.append(j)
+        j = rng.choice(line)
+        pair = (f"{rng.choice('abc')}_{i}", f"{rng.choice('abc')}_{j}")
+        chosen.add(tuple(sorted(pair)))
+    return make_policy(schema, forbidden=sorted(chosen))
+
+
+def count_walks(monkeypatch) -> list:
+    """Record every ``walk_simple_paths`` call as (id(adjacency), start, limits)."""
+    walks = []
+    walk = joinchain.walk_simple_paths
+
+    def counted(adjacency, start, limits):
+        walks.append((id(adjacency), start, limits))
+        return walk(adjacency, start, limits)
+
+    monkeypatch.setattr(joinchain, "walk_simple_paths", counted)
+    return walks

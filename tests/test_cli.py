@@ -59,6 +59,27 @@ def test_decompose_writes_sql_and_dot(tmp_path, capsys):
     assert dot.read_text().count("[color=red, style=bold]") == 5
 
 
+def test_decompose_dot_draws_the_graph_the_cut_was_made_on(tmp_path, capsys):
+    # Forbidding {C} deletes C before the cut; the drawing must show the
+    # preprocessed graph, with every cut edge (here ABD -> B) in red.
+    doc = {
+        "relations": [{"name": "R", "attributes": ["A", "B", "C", "D"], "primary_key": ["A"]}],
+        "fds": [],
+        "policy": {"forbidden": [["C"], ["B", "D"]], "required": []},
+    }
+    path = tmp_path / "deleted.json"
+    path.write_text(json.dumps(doc))
+    dot = tmp_path / "graph.dot"
+    code, _, stderr = run(capsys, "decompose", str(path), "--dot", str(dot))
+    assert code == 0
+    assert "cut=1" in stderr
+    text = dot.read_text()
+    assert '"C"' not in text and '"ABCD"' not in text
+    assert '  n1 [label="ABD"];\n  n2 [label="B"];' in text
+    red = [line for line in text.splitlines() if "[color=red, style=bold]" in line]
+    assert red == ["  n1 -> n2 [color=red, style=bold];"]
+
+
 def test_decompose_inconsistent_exits_2(tmp_path, capsys):
     doc = {
         "relations": [

@@ -19,7 +19,7 @@ from schemacut import (
 from schemacut import joinchain
 from schemacut.joinchain import walk_simple_paths
 
-from .conftest import fd_chain_schema, random_schema
+from .conftest import count_walks, fd_chain_schema, random_schema
 from .goldens import (
     EX1_FB_CHAINS,
     EX2_AD_CHAINS,
@@ -342,17 +342,24 @@ def _fresh_families(schema, sets, limits):
     return [_families(build_fdg(schema), [s], limits)[0] for s in sets]
 
 
-def test_one_graph_under_two_limits_matches_fresh_graphs():
+def test_one_graph_under_two_limits_matches_fresh_graphs(monkeypatch):
     # One graph serves calls under any limits: a truncating call must not
-    # change what a full one finds on the same graph, nor the reverse.
+    # change what a full one finds on the same graph, nor the reverse, and
+    # the rounds after the first two are served from the walk memo.
     schema = dense_key_cycle(4)
     sets = [["a0", "a1"], ["a1", "a2"], ["a0", "k3"], ["a0", "a1"]]
     full, tight = PathLimits(), PathLimits(max_paths_per_target=2, max_path_length=3)
     shared = build_fdg(schema)
-    for limits in (tight, full, tight, full):
+    counted = count_walks(monkeypatch)
+    # Equal limits are one memo key, whichever instance carries them.
+    for limits in (tight, full, PathLimits(max_paths_per_target=2, max_path_length=3), full):
         assert _families(shared, sets, limits) == _fresh_families(schema, sets, limits)
     assert all(truncated for _, truncated in _families(shared, sets, tight))
     assert not any(truncated for _, truncated in _families(shared, sets, full))
+    walks = [(start, limits) for graph, start, limits in counted if graph == id(shared.parents)]
+    targets = {(name,) for s in sets for name in s}
+    assert len(walks) == len(set(walks)) == 2 * len(targets)
+    assert set(shared.parent_walks) == set(walks)
 
 
 def test_shared_graph_matches_fresh_graphs_on_random_schemas():
@@ -366,3 +373,10 @@ def test_shared_graph_matches_fresh_graphs_on_random_schemas():
         want = _fresh_families(schema, sets, limits)
         assert _families(shared, sets, limits) == want
         assert _families(shared, sets, limits) == want
+
+
+def test_memoised_walk_paths_are_read_only(ex1_fdg):
+    assert join_chains(ex1_fdg, ["F", "B"]).chains
+    walk = ex1_fdg.parent_walks[(("F",), PathLimits())]
+    with pytest.raises(TypeError):
+        walk.paths[("F",)] = ()

@@ -28,10 +28,13 @@ from schemacut.decompose import assemble
 
 from .conftest import (
     composite_key_schema,
+    count_walks,
     fd_chain_schema,
     random_fragments,
     random_policy,
     random_schema,
+    snowflake_policy,
+    snowflake_schema,
     union_rule_doc,
 )
 from .test_closure import worklist_closure
@@ -371,14 +374,22 @@ def test_recut_round_leaves_the_base_graph_cached(monkeypatch):
 
 def test_interleaved_schemas_match_reports_made_without_the_cache(example1, example2):
     # Two schemas taking turns evict each other from the one-entry cache;
-    # repeats of one schema hit it.  Every report must equal one made on a
-    # cleared cache.
+    # repeats of one schema hit it, and its walk memo.  Every report must
+    # equal one made on a cleared cache.
     calls = [example1, example2, example2, example1, example1, example2, example1]
     rng = random.Random(8)
     for _ in range(4):
         schema = random_schema(rng)
         calls += [(schema, random_policy(rng, schema))] * 2
     calls += [containment_recut_case()] * 2 + [example2]
+    # Policies on one snowflake share targets, so most of their walks are
+    # memo hits: in order, reversed, and taking turns with example1.
+    snowflake = snowflake_schema(12)
+    rng = random.Random(13)
+    roles = [(snowflake, snowflake_policy(rng, snowflake, 12, 4)) for _ in range(16)]
+    calls += roles + roles[::-1]
+    for role in roles:
+        calls += [role, example1]
     want = []
     for schema, policy in calls:
         pipeline._base_graph.cache_clear()
@@ -389,6 +400,40 @@ def test_interleaved_schemas_match_reports_made_without_the_cache(example1, exam
         assert got == want
     info = pipeline._base_graph.cache_info()
     assert info.hits > 0 and info.currsize == 1
+
+
+def test_each_target_is_walked_once_per_schema(monkeypatch):
+    # Two roles on one schema whose forbidden sets share targets: each
+    # target's ancestors are walked once, on the first call that needs it.
+    schema = snowflake_schema(12)
+    rng = random.Random(5)
+    policies = [snowflake_policy(rng, schema, 12, 6) for _ in range(2)]
+    targets = [name for policy in policies for s in policy.forbidden for name in s]
+    assert len(set(targets)) < len(targets)
+    pipeline._base_graph.cache_clear()
+    walks = count_walks(monkeypatch)
+    reports = [secure_decompose(schema, policy) for policy in policies]
+    assert not any("additional co-occurrence" in w for r in reports for w in r.warnings)
+    assert len(walks) == len(set(walks)) == len(set(targets))
+    base, _ = pipeline._base_graph(schema)
+    assert len(base.parent_walks) == len(walks)
+
+
+def test_truncated_report_repeats_on_a_memo_hit(example2, monkeypatch):
+    # The truncation flag lives in the memoised walk: a repeated call must
+    # warn exactly as the first, and as a call on a cleared cache.
+    schema, policy = example2
+    tight = PathLimits(max_paths_per_target=1)
+    pipeline._base_graph.cache_clear()
+    first = report_to_dict(secure_decompose(schema, policy, tight))
+    assert any("truncated" in w for w in first["warnings"])
+    walks = count_walks(monkeypatch)
+    again = report_to_dict(secure_decompose(schema, policy, PathLimits(max_paths_per_target=1)))
+    base, _ = pipeline._base_graph(schema)
+    assert id(base.parents) not in {adjacency for adjacency, _, _ in walks}
+    pipeline._base_graph.cache_clear()
+    fresh = report_to_dict(secure_decompose(schema, policy, tight))
+    assert again == first == fresh
 
 
 def test_idempotent_on_already_secure_schema(example2):
