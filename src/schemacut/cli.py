@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -54,6 +55,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a finite number of seconds >= 0, got {text}")
     return value
 
 
@@ -181,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="consistency-check an abstract instance")
     p.add_argument("instance")
     p.add_argument("--strategy", choices=["I", "II", "auto"], default="auto")
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--timeout", type=_seconds, default=60.0)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("chains", help="enumerate join chains for an attribute set")
@@ -193,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a benchmark grid")
     p.add_argument("grid")
     p.add_argument("--strategies", default="I,II")
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--timeout", type=_seconds, default=60.0)
     p.add_argument("--csv", help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_bench)
 

@@ -142,12 +142,13 @@ def edges_to_forbidden_sets(cut: CutSet, fdg: Fdg) -> tuple[AttributeSet, ...]:
     """Map each selected edge to the union of its endpoint attribute sets.
 
     Order follows the selection; duplicates collapse; supersets of other
-    produced sets are kept (they constrain independently).
+    produced sets are kept (they constrain independently).  Each edge is
+    looked up among its destination's parents, the index the chain walks
+    that produced the cut have already built.
     """
-    known = {edge.ref for edge in fdg.edges}
     out: list[AttributeSet] = []
     for ref in cut:
-        if ref not in known:
+        if (ref[0], ref) not in fdg.parents.get(ref[1], ()):
             raise ValueError(f"edge {ref!r} is not in the graph")
         merged = attr_set(ref[0] + ref[1])
         if merged not in out:

@@ -4,13 +4,14 @@ Fragments are computed as complements of inclusion-minimal hitting sets of
 the forbidden sets that fit inside the relation, which matches literal
 power-set elimination without materialising the power set.  The module
 also carries the older strong-cut baseline, which additionally severs
-every forbidden attribute from each of its identifiers.  Lost dependencies
-are looked up in attribute indexes over the relations and the fragments.
+every forbidden attribute from each of its identifiers.  ``held_and_lost``
+alone decides which fragments hold each dependency whole, from one index
+over the fragments and their relations, once per pipeline round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .closure import DecomposedFdSet, decompose_fds, identifiers_of
@@ -94,19 +95,25 @@ def decompose_relation(
     ]
 
 
-def _lost_dependencies(
+def held_and_lost(
     schema: Schema, fragments: Sequence[Fragment], dfds: DecomposedFdSet
-) -> tuple[FunctionalDependency, ...]:
-    relations = element_index(rel.attributes for rel in schema.relations)
-    pieces = element_index(frag.attrs for frag in fragments)
-    lost = []
+) -> tuple[tuple[FunctionalDependency, ...], tuple[FunctionalDependency, ...]]:
+    """The dependencies of ``dfds`` some fragment holds whole (held), and those
+    some relation holds whole but none of its fragments does (lost)."""
+    owners = [frag.source_relation for frag in fragments] + [rel.name for rel in schema.relations]
+    index = element_index(
+        [frag.attrs for frag in fragments] + [rel.attributes for rel in schema.relations]
+    )
+    split = len(fragments)
+    held, lost = [], []
     for dep in dfds:
-        spanned = dep.lhs + dep.rhs
-        holders = {schema.relations[i].name for i in holding_all(relations, spanned)}
-        keepers = {fragments[i].source_relation for i in holding_all(pieces, spanned)}
-        if holders - keepers:
+        holders = holding_all(index, dep.lhs + dep.rhs)
+        keepers = {owners[i] for i in holders if i < split}
+        if keepers:
+            held.append(dep)
+        if len({owners[i] for i in holders}) > len(keepers):
             lost.append(dep)
-    return tuple(lost)
+    return tuple(held), tuple(lost)
 
 
 def strong_cut_decompose(
@@ -147,7 +154,7 @@ def strong_cut_decompose(
         fragments.extend(decompose_relation(rel, elim, max_width))
 
     frags = tuple(fragments)
-    return DecomposedSchema(frags, tuple(elim_sets), _lost_dependencies(schema, frags, dfds))
+    return DecomposedSchema(frags, tuple(elim_sets), held_and_lost(schema, frags, dfds)[1])
 
 
 def candidate_sets(schema: Schema) -> tuple[AttributeSet, ...]:
@@ -165,7 +172,7 @@ def dependency_loss(
 ) -> int:
     """Count decomposed dependencies co-located in some original relation
     but in none of that relation's fragments."""
-    return len(_lost_dependencies(schema, result.fragments, fds))
+    return len(held_and_lost(schema, result.fragments, fds)[1])
 
 
 def assemble(
@@ -180,7 +187,7 @@ def assemble(
     return DecomposedSchema(
         fragments,
         tuple(new_forbidden),
-        _lost_dependencies(schema, fragments, dfds),
+        held_and_lost(schema, fragments, dfds)[1],
     )
 
 

@@ -13,6 +13,11 @@ path bound limits and which is the attacker's rule: no fragment's
 attribute closure, under the dependencies some fragment holds whole, may
 contain a forbidden set.
 
+Each round makes one pass over the decomposed dependencies
+(``decompose.held_and_lost``).  The dependencies some fragment holds feed
+the closure check and, on a re-cut, the fragment graph; the ones a
+relation lost become the report's ``lost_fds``.
+
 Verification is load-bearing, not decorative.  A cut through a composite
 vertex's containment edge only bans the full composite, so smaller
 fragments can keep the association alive; when verification finds such a
@@ -47,8 +52,8 @@ from .cut import (
 from .decompose import (
     DEFAULT_MAX_WIDTH,
     DecomposedSchema,
-    assemble,
     decompose_relation,
+    held_and_lost,
 )
 from .fdg import Fdg, build_fdg
 from .joinchain import PathLimits, join_chains
@@ -57,8 +62,6 @@ from .model import (
     Policy,
     Relation,
     Schema,
-    element_index,
-    holding_all,
     preprocess_policy,
 )
 
@@ -92,21 +95,13 @@ def fragment_schema(result: DecomposedSchema, schema: Schema) -> Schema:
     not re-derived (each fragment gets its full attribute set as a trivial
     key, which the graph construction never consults).
     """
-    relations = tuple(
-        Relation(frag.name, frag.attrs, frag.attrs) for frag in result.fragments
-    )
-    return Schema(relations, _held_fds(result, decompose_fds(schema.fds)), schema.attribute_names)
+    held, _ = held_and_lost(schema, result.fragments, decompose_fds(schema.fds))
+    return _fragment_schema(result.fragments, held, schema)
 
 
-def _held_fds(result: DecomposedSchema, dfds) -> tuple:
-    """The dependencies of ``dfds`` that some fragment holds whole."""
-    index = element_index(frag.attrs for frag in result.fragments)
-    return tuple(dep for dep in dfds if holding_all(index, dep.lhs + dep.rhs))
-
-
-def _closures(result: DecomposedSchema, dfds) -> dict[str, int]:
-    """``closure_masks`` of the fragments under the dependencies they hold."""
-    return closure_masks([frag.attrs for frag in result.fragments], _held_fds(result, dfds))
+def _fragment_schema(fragments, held, schema: Schema) -> Schema:
+    relations = tuple(Relation(frag.name, frag.attrs, frag.attrs) for frag in fragments)
+    return Schema(relations, held, schema.attribute_names)
 
 
 def verify_decomposition(
@@ -118,7 +113,8 @@ def verify_decomposition(
     the dependencies some fragment holds whole.  Each required set is
     flagged with whether it is still associable in that sense.
     """
-    masks = _closures(result, decompose_fds(schema.fds))
+    held, _ = held_and_lost(schema, result.fragments, decompose_fds(schema.fds))
+    masks = closure_masks([frag.attrs for frag in result.fragments], held)
     secure = not any(associable(masks, forbidden) for forbidden in policy.forbidden)
     required_flags = tuple((req, associable(masks, req)) for req in policy.required)
     return secure, required_flags
@@ -172,15 +168,19 @@ def secure_decompose(
         if s not in effective:
             effective.append(s)
 
-    result = _decompose_all(schema, effective, new_forbidden, dfds, max_width)
     for rounds in range(_MAX_RECUT_ROUNDS + 1):
-        masks = _closures(result, dfds)
+        fragments = tuple(
+            frag for rel in schema.relations
+            for frag in decompose_relation(rel, effective, max_width)
+        )
+        held, lost = held_and_lost(schema, fragments, dfds)
+        masks = closure_masks([frag.attrs for frag in fragments], held)
         unbroken = [s for s in policy.forbidden if associable(masks, s)]
         if not unbroken:
             break
         if rounds == _MAX_RECUT_ROUNDS:
             raise RuntimeError("re-cut did not converge")
-        new_fdg = build_fdg(fragment_schema(result, schema))
+        new_fdg = build_fdg(_fragment_schema(fragments, held, schema))
         extra_cut = greedy_cut([join_chains(new_fdg, s, limits) for s in unbroken], new_fdg)
         extra_sets = edges_to_forbidden_sets(extra_cut, new_fdg)
         progress = [s for s in extra_sets if s not in effective]
@@ -193,7 +193,7 @@ def secure_decompose(
         )
         effective.extend(progress)
         new_forbidden.extend(progress)
-        result = _decompose_all(schema, effective, new_forbidden, dfds, max_width)
+    result = DecomposedSchema(fragments, tuple(new_forbidden), lost)
     required_flags = tuple((req, associable(masks, req)) for req in policy.required)
 
     for req, ok in required_flags:
@@ -213,14 +213,6 @@ def secure_decompose(
 
 def _braced(sets) -> str:
     return ", ".join("{" + ", ".join(s) + "}" for s in sets)
-
-
-def _decompose_all(schema, effective, new_forbidden, dfds, max_width) -> DecomposedSchema:
-    per_relation = {
-        rel.name: decompose_relation(rel, effective, max_width)
-        for rel in schema.relations
-    }
-    return assemble(schema, per_relation, new_forbidden, dfds)
 
 
 def report_to_dict(report: DecompositionReport) -> dict:

@@ -282,6 +282,17 @@ def test_check_stops_at_its_timeout(capsys):
     assert "consistency check timed out" in stderr
 
 
+@pytest.mark.parametrize("command", ["check", "bench"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_timeout_must_be_finite_and_not_negative(capsys, command, value):
+    # Neither nan nor inf would ever fire, so they must not start a run.
+    path = fixture_file("cc1" if command == "check" else "table3")
+    code, stdout, stderr = run(capsys, command, path, "--timeout", value)
+    assert code == 1
+    assert stdout == ""
+    assert "--timeout: must be a finite number of seconds >= 0" in stderr
+
+
 def test_check_timeout_defaults_to_60_seconds():
     assert build_parser().parse_args(["check", "inst.json"]).timeout == 60.0
 

@@ -249,8 +249,15 @@ def test_forbidden_sets_endpoint_union(ex1_fdg):
 def test_forbidden_sets_unknown_edge_rejected(ex1_fdg):
     from schemacut import CutSet
 
-    with pytest.raises(ValueError, match="not in the graph"):
-        edges_to_forbidden_sets(CutSet(((("Z",), ("Q",)),)), ex1_fdg)
+    unknown = [
+        (("Z",), ("Q",)),  # neither end is a vertex
+        (("Z",), ("A",)),  # unknown source, known destination
+        (("A",), ("Z",)),  # known source, unknown destination
+        (("A",), ("E",)),  # both vertices, but no edge between them
+    ]
+    for ref in unknown:
+        with pytest.raises(ValueError, match="not in the graph"):
+            edges_to_forbidden_sets(CutSet((ref,)), ex1_fdg)
 
 
 def scan_security_counts(chains, fdg):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,8 @@ from schemacut import (
     verify_decomposition,
 )
 from schemacut import pipeline
-from schemacut.decompose import assemble
+from schemacut.decompose import assemble, held_and_lost
+from schemacut.model import preprocess_policy
 
 from .conftest import (
     composite_key_schema,
@@ -210,6 +212,10 @@ def test_fragment_bookkeeping_matches_all_pairs_scans():
         assert fragment_schema(result, schema).fds == scanned_fragment_fds(result, schema)
         want = scanned_lost_dependencies(schema, result.fragments, dfds)
         assert result.lost_dependencies == want
+        assert held_and_lost(schema, result.fragments, dfds) == (
+            scanned_fragment_fds(result, schema),
+            want,
+        )
         assert dependency_loss(schema, result, dfds) == len(want)
         lost_any += bool(want)
     assert lost_any > 50
@@ -295,6 +301,30 @@ def test_verification_is_never_weaker_than_join_chains_on_composite_keys():
     assert union_only > 0
 
 
+def test_public_verification_agrees_with_the_pipeline_on_composite_keys():
+    # The report's verdicts must be what the public judge says of its
+    # result, on the preprocessed inputs the pipeline decomposed.
+    rng = random.Random(1313)
+    consistent = unverified = 0
+    for _ in range(300):
+        schema = composite_key_schema(rng)
+        base = random_policy(rng, schema)
+        wide = [rel.attributes for rel in schema.relations if len(rel.attributes) >= 2]
+        required = [rng.sample(rng.choice(wide), 2) for _ in range(rng.randint(0, 2))]
+        policy = make_policy(schema, forbidden=base.forbidden, required=required)
+        report = secure_decompose(schema, policy)
+        if not report.consistency.consistent:
+            continue
+        schema2, policy2, _ = preprocess_policy(schema, policy)
+        assert verify_decomposition(report.result, schema2, policy2) == (
+            report.security_verified,
+            report.required_verified,
+        )
+        consistent += 1
+        unverified += not report.security_verified
+    assert consistent > 200 and unverified > 0
+
+
 def test_required_set_flags(example2):
     schema, _ = example2
     policy = make_policy(schema, forbidden=[["A", "D"]], required=[["B", "C"], ["E", "G"]])
@@ -370,6 +400,43 @@ def test_recut_round_leaves_the_base_graph_cached(monkeypatch):
     assert pipeline._base_graph.cache_info().hits == hits + 1
     assert len(builds) == rounds and schema not in builds
     assert report_to_dict(second) == report_to_dict(first)
+
+
+@pytest.mark.parametrize("case", ["containment re-cut", "union rule"])
+def test_each_round_sorts_the_dependencies_once(monkeypatch, case):
+    # The schema's dependencies are decomposed once, with its graph; every
+    # round then makes one held/lost pass, and a re-cut builds its fragment
+    # graph from that round's held list.
+    if case == "union rule":
+        schema, policy = load_schema_doc(union_rule_doc())
+    else:
+        schema, policy = containment_recut_case()
+    splits, passes, builds = [], [], []
+
+    def split(fds):
+        splits.append(fds)
+        return decompose_fds(fds)
+
+    def sort(schema, fragments, dfds):
+        passes.append(held_and_lost(schema, fragments, dfds))
+        return passes[-1]
+
+    monkeypatch.setattr(pipeline, "decompose_fds", split)
+    monkeypatch.setattr(pipeline, "held_and_lost", sort)
+    monkeypatch.setattr(pipeline, "build_fdg", lambda s: builds.append(s) or build_fdg(s))
+    pipeline._base_graph.cache_clear()
+    report = secure_decompose(schema, policy)
+    recuts = sum("additional co-occurrence" in w for w in report.warnings)
+    assert (recuts > 0) == (case == "containment re-cut")
+    assert len(splits) == 1
+    assert len(passes) == 1 + recuts
+    assert report.result.lost_dependencies == passes[-1][1]
+    # Every round but a converged last one re-cuts on a graph of what it holds.
+    assert [b.fds for b in builds[1:]] == [held for held, _ in passes[:len(builds) - 1]]
+    assert len(builds) == 1 + recuts + (not report.security_verified)
+    del splits[:], passes[:]
+    assert report_to_dict(secure_decompose(schema, policy)) == report_to_dict(report)
+    assert len(splits) == 0 and len(passes) == 1 + recuts
 
 
 def test_interleaved_schemas_match_reports_made_without_the_cache(example1, example2):
