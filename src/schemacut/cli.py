@@ -30,7 +30,7 @@ from .consistency import ConsistencyTimeout, check, load_cc_instance
 from .decompose import WidthBoundExceeded, sql_views
 from .fdg import build_fdg, export_dot
 from .joinchain import PathLimits, join_chains
-from .model import SchemaError, load_schema, preprocess_policy
+from .model import SchemaError, attr_set, load_schema, preprocess_policy
 from .pipeline import report_to_dict, secure_decompose
 
 EXIT_OK = 0
@@ -52,21 +52,27 @@ def _write_or_print(text: str, path: str | None) -> None:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
 
 
 def _seconds(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value) or value < 0:
         raise argparse.ArgumentTypeError(f"must be a finite number of seconds >= 0, got {text}")
     return value
 
 
-def _edge_label(ref) -> str:
-    return f"{''.join(ref[0])}->{''.join(ref[1])}"
+def _edge_label(ref, sep: str) -> str:
+    return f"{sep.join(ref[0])}->{sep.join(ref[1])}"
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -91,14 +97,19 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
     if args.sql:
         Path(args.sql).write_text(sql_views(report.result), encoding="utf-8")
+    # Reverse-delete may drop cut edges; the decomposition forbids only the
+    # co-occurrences in new_forbidden, so show only the edges behind those.
+    forbids = set(report.result.new_forbidden)
+    cut_refs = {
+        ref for ref in report.consistency.cut or () if attr_set(ref[0] + ref[1]) in forbids
+    }
     if args.dot:
         # The cut was made on the preprocessed schema's graph; draw that one.
         cut_fdg = build_fdg(preprocess_policy(schema, policy)[0])
-        cut_refs = set(report.consistency.cut or ())
         Path(args.dot).write_text(export_dot(cut_fdg, cut_refs), encoding="utf-8")
 
     fragments = len(report.result.fragments)
-    cut_size = len(report.consistency.cut or ())
+    cut_size = len(cut_refs)
     required_ok = all(ok for _, ok in report.required_verified)
     summary = (
         f"fragments={fragments} cut={cut_size} "
@@ -131,6 +142,8 @@ def cmd_chains(args: argparse.Namespace) -> int:
         return _fail("--set needs at least one attribute")
     limits = PathLimits(max_paths_per_target=args.max_paths)
     family = join_chains(build_fdg(schema), targets, limits)
+    # Plain joined names are ambiguous once a name has several characters.
+    sep = "," if any(len(a) > 1 for a in schema.attribute_names) else ""
     if len(set(targets)) == 1:
         print("warning: a single attribute is trivially associable", file=sys.stderr)
     if family.truncated:
@@ -139,8 +152,8 @@ def cmd_chains(args: argparse.Namespace) -> int:
         "set": list(family.source_set),
         "chains": [
             {
-                "ancestor": "".join(chain.ancestor),
-                "edges": sorted(_edge_label(ref) for ref in chain.edges),
+                "ancestor": sep.join(chain.ancestor),
+                "edges": sorted(_edge_label(ref, sep) for ref in chain.edges),
             }
             for chain in family.chains
         ],

@@ -18,8 +18,9 @@ backtracking search in the style of DPLL (Davis, Logemann & Loveland
 
 Both read an optional deadline before any search and, inside the core,
 every ``_TIMEOUT_STRIDE`` pick attempts, so an expired deadline stops the
-work at once.  Deciding consistency is NP-complete; a 3SAT reduction
-doubles as a test generator.
+work at once.  The clock serves the deadline only: a result carries no
+timing, so equal instances give equal (``==``) results.  Deciding
+consistency is NP-complete; a 3SAT reduction doubles as a test generator.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ class ConsistencyResult:
     cut: CutSet | None
     preserved: tuple[frozenset, ...] | None
     strategy: str
-    elapsed_ms: float
 
 
 @dataclass(frozen=True)
@@ -290,10 +290,8 @@ def check_required_first(
         protected = frozenset().union(*chosen)
         restricted = [chain - protected for chain in instance.forbidden_chains]
         cut = greedy_hitting_set(restricted, edge_sort_key)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return ConsistencyResult(True, cut, tuple(chosen), "required-first", elapsed)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return ConsistencyResult(False, None, None, "required-first", elapsed)
+        return ConsistencyResult(True, cut, tuple(chosen), "required-first")
+    return ConsistencyResult(False, None, None, "required-first")
 
 
 class _CutSearch:
@@ -435,11 +433,10 @@ def check_forbidden_first(
         if all(search.live) and _depth_first(search, start, timeout_s):
             picked = frozenset(search.cut)
             witnesses = _survivors(instance, picked)
-    elapsed = (time.perf_counter() - start) * 1000.0
     if witnesses is None:
-        return ConsistencyResult(False, None, None, "forbidden-first", elapsed)
+        return ConsistencyResult(False, None, None, "forbidden-first")
     cut = CutSet(tuple(sorted(picked)))
-    return ConsistencyResult(True, cut, witnesses, "forbidden-first", elapsed)
+    return ConsistencyResult(True, cut, witnesses, "forbidden-first")
 
 
 def pick_strategy(instance: CcInstance) -> str:

@@ -18,7 +18,6 @@ from .closure import DecomposedFdSet, decompose_fds, identifiers_of
 from .model import (
     AttributeSet,
     FunctionalDependency,
-    Policy,
     Relation,
     Schema,
     SchemaError,
@@ -119,7 +118,6 @@ def held_and_lost(
 def strong_cut_decompose(
     schema: Schema,
     forbidden: Sequence[AttributeSet],
-    fds: DecomposedFdSet | None = None,
     max_width: int = DEFAULT_MAX_WIDTH,
 ) -> DecomposedSchema:
     """Baseline decomposition that severs forbidden attributes from identifiers.
@@ -128,7 +126,7 @@ def strong_cut_decompose(
     forbidden-set attribute together with one of its identifiers (restricted
     to candidate sets inside the relation).  Maximal survivors remain.
     """
-    dfds = fds if fds is not None else decompose_fds(schema.fds)
+    dfds = decompose_fds(schema.fds)
     candidates = candidate_sets(schema)
     forbidden_attrs = sorted({a for f in forbidden for a in f})
     ident_cache = {
@@ -173,22 +171,6 @@ def dependency_loss(
     """Count decomposed dependencies co-located in some original relation
     but in none of that relation's fragments."""
     return len(held_and_lost(schema, result.fragments, fds)[1])
-
-
-def assemble(
-    schema: Schema,
-    per_relation: Mapping[str, Sequence[Fragment]],
-    new_forbidden: Sequence[AttributeSet],
-    dfds: DecomposedFdSet,
-) -> DecomposedSchema:
-    fragments = tuple(
-        frag for rel in schema.relations for frag in per_relation.get(rel.name, ())
-    )
-    return DecomposedSchema(
-        fragments,
-        tuple(new_forbidden),
-        held_and_lost(schema, fragments, dfds)[1],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ the selection backwards, an edge goes when every forbidden chain stays
 hit without it; fewer constraints keep more associations), turns the
 remaining cut edges into new forbidden co-occurrences, and decomposes
 every relation.  The report's ``consistency.cut`` is the cut as decided,
-before reverse-delete.  The result is then *verified by closure*, which no
-path bound limits and which is the attacker's rule: no fragment's
-attribute closure, under the dependencies some fragment holds whole, may
-contain a forbidden set.
+before reverse-delete; the edges the decomposition forbids are the ones
+whose co-occurrence is in ``new_forbidden``.  The result is then
+*verified by closure*, which no path bound limits and which is the
+attacker's rule: no fragment's attribute closure, under the dependencies
+some fragment holds whole, may contain a forbidden set.  One closure
+verdict (``_verdict``) decides each round and ``verify_decomposition``
+alike.
 
 Each round makes one pass over the decomposed dependencies
 (``decompose.held_and_lost``).  The dependencies some fragment holds feed
@@ -24,8 +27,10 @@ fragments can keep the association alive; when verification finds such a
 surviving association the pipeline cuts again on the fragment graph and
 re-decomposes until secure, or until the bounded chain enumeration finds
 nothing new to cut (as for an association through a composite lhs), which
-the report flags as not secure.  Required-set survival is also re-checked
-on the final fragments; failures downgrade the report with a warning.
+the report flags as not secure.  Required-set survival is decided by the
+same verdict on the final fragments; failures downgrade the report with a
+warning.  A report is a plain value: it carries no timing, so equal inputs
+give equal (``==``) reports.
 
 Everything the schema alone determines is kept for the last schema seen
 (a one-entry cache keyed by the schema value): its graph, with its edge
@@ -53,6 +58,7 @@ from .decompose import (
     DEFAULT_MAX_WIDTH,
     DecomposedSchema,
     decompose_relation,
+    decomposition_to_dict,
     held_and_lost,
 )
 from .fdg import Fdg, build_fdg
@@ -114,10 +120,18 @@ def verify_decomposition(
     flagged with whether it is still associable in that sense.
     """
     held, _ = held_and_lost(schema, result.fragments, decompose_fds(schema.fds))
-    masks = closure_masks([frag.attrs for frag in result.fragments], held)
-    secure = not any(associable(masks, forbidden) for forbidden in policy.forbidden)
-    required_flags = tuple((req, associable(masks, req)) for req in policy.required)
-    return secure, required_flags
+    unbroken, required_flags = _verdict(result.fragments, held, policy)
+    return not unbroken, required_flags
+
+
+def _verdict(
+    fragments, held, policy: Policy
+) -> tuple[list[AttributeSet], tuple[tuple[AttributeSet, bool], ...]]:
+    """The forbidden sets still associable among ``fragments`` under the
+    dependencies ``held``, and each required set flagged with whether it is."""
+    masks = closure_masks([frag.attrs for frag in fragments], held)
+    unbroken = [s for s in policy.forbidden if associable(masks, s)]
+    return unbroken, tuple((req, associable(masks, req)) for req in policy.required)
 
 
 def secure_decompose(
@@ -174,8 +188,7 @@ def secure_decompose(
             for frag in decompose_relation(rel, effective, max_width)
         )
         held, lost = held_and_lost(schema, fragments, dfds)
-        masks = closure_masks([frag.attrs for frag in fragments], held)
-        unbroken = [s for s in policy.forbidden if associable(masks, s)]
+        unbroken, required_flags = _verdict(fragments, held, policy)
         if not unbroken:
             break
         if rounds == _MAX_RECUT_ROUNDS:
@@ -194,7 +207,6 @@ def secure_decompose(
         effective.extend(progress)
         new_forbidden.extend(progress)
     result = DecomposedSchema(fragments, tuple(new_forbidden), lost)
-    required_flags = tuple((req, associable(masks, req)) for req in policy.required)
 
     for req, ok in required_flags:
         if not ok:
@@ -216,8 +228,6 @@ def _braced(sets) -> str:
 
 
 def report_to_dict(report: DecompositionReport) -> dict:
-    from .decompose import decomposition_to_dict
-
     body = (
         decomposition_to_dict(report.result)
         if report.result is not None

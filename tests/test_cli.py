@@ -80,6 +80,24 @@ def test_decompose_dot_draws_the_graph_the_cut_was_made_on(tmp_path, capsys):
     assert red == ["  n1 -> n2 [color=red, style=bold];"]
 
 
+def test_decompose_dot_shows_only_the_edges_the_decomposition_forbids(tmp_path, capsys):
+    # example0's cut picks A -> B, A -> C and ABCD -> B; reverse-delete drops
+    # A -> C, so new_forbidden is {A, B} and {A, B, C, D}.  The dropped
+    # edge is neither drawn red nor counted.
+    dot = tmp_path / "graph.dot"
+    out = tmp_path / "report.json"
+    code, stdout, _ = run(
+        capsys, "decompose", fixture_file("example0"), "--out", str(out), "--dot", str(dot)
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["new_forbidden"] == [["A", "B"], ["A", "B", "C", "D"]]
+    assert "cut=2" in stdout
+    text = dot.read_text()
+    assert '  n0 [label="A"];\n  n1 [label="ABCD"];\n  n2 [label="B"];' in text
+    red = [line for line in text.splitlines() if "[color=red, style=bold]" in line]
+    assert red == ["  n0 -> n2 [color=red, style=bold];", "  n1 -> n2 [color=red, style=bold];"]
+
+
 def test_decompose_inconsistent_exits_2(tmp_path, capsys):
     doc = {
         "relations": [
@@ -226,7 +244,7 @@ def test_program_fault_keeps_its_traceback(monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["decompose", "chains"])
-@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
 def test_max_paths_must_be_positive(capsys, command, value):
     extra = ["--set", "A,B"] if command == "chains" else []
     code, stdout, stderr = run(
@@ -234,7 +252,7 @@ def test_max_paths_must_be_positive(capsys, command, value):
     )
     assert code == 1
     assert stdout == ""
-    assert "--max-paths: must be a positive integer" in stderr
+    assert f"--max-paths: must be a positive integer, got {value}" in stderr
 
 
 def test_max_width_must_be_positive(capsys):
@@ -283,14 +301,15 @@ def test_check_stops_at_its_timeout(capsys):
 
 
 @pytest.mark.parametrize("command", ["check", "bench"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
 def test_timeout_must_be_finite_and_not_negative(capsys, command, value):
     # Neither nan nor inf would ever fire, so they must not start a run.
+    # A non-number gets the same message, not argparse's one naming the parser.
     path = fixture_file("cc1" if command == "check" else "table3")
     code, stdout, stderr = run(capsys, command, path, "--timeout", value)
     assert code == 1
     assert stdout == ""
-    assert "--timeout: must be a finite number of seconds >= 0" in stderr
+    assert f"--timeout: must be a finite number of seconds >= 0, got {value}" in stderr
 
 
 def test_check_timeout_defaults_to_60_seconds():
@@ -315,6 +334,28 @@ def test_chains_example1(capsys):
     assert doc["set"] == ["B", "F"]
     edges = {tuple(c["edges"]) for c in doc["chains"]}
     assert ("A->B", "AE->A", "AE->E", "E->F") in edges
+
+
+def test_chains_separates_multi_character_names(tmp_path, capsys):
+    # With a name like AB in the schema, the vertices {A, B} and {AB} would
+    # both print as AB; names are then joined with commas.
+    doc = {
+        "relations": [
+            {"name": "R", "attributes": ["A", "B"], "primary_key": ["A"]},
+            {"name": "S", "attributes": ["AB", "B", "C"], "primary_key": ["AB"]},
+        ],
+        "fds": [{"lhs": ["A"], "rhs": ["B"]}, {"lhs": ["AB"], "rhs": ["B", "C"]}],
+    }
+    path = tmp_path / "long_names.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, _ = run(capsys, "chains", str(path), "--set", "B,C")
+    assert code == 0
+    assert json.loads(stdout)["chains"] == [
+        {"ancestor": "AB", "edges": ["AB->B", "AB->C"]},
+        {"ancestor": "AB,B,C", "edges": ["AB,B,C->AB", "AB,B,C->C", "AB->B"]},
+        {"ancestor": "AB,B,C", "edges": ["AB,B,C->AB", "AB,B,C->B", "AB->C"]},
+        {"ancestor": "AB,B,C", "edges": ["AB,B,C->B", "AB,B,C->C"]},
+    ]
 
 
 def test_chains_single_attribute_warns(capsys):

@@ -57,6 +57,15 @@ def test_second_instance_inconsistent():
         assert result.cut is None and result.preserved is None
 
 
+@pytest.mark.parametrize("number", [1, 2])
+@pytest.mark.parametrize("strategy", ["I", "II", "auto"])
+def test_equal_instances_give_equal_results(number, strategy):
+    from schemacut import fixtures
+
+    first = check(fixtures.cc_instance(number), strategy)
+    assert check(fixtures.cc_instance(number), strategy) == first
+
+
 def test_empty_cut_fails_when_forbidden_chains_exist():
     from schemacut import fixtures
 

@@ -24,8 +24,8 @@ from schemacut import (
     strong_cut_decompose,
     verify_decomposition,
 )
-from schemacut import pipeline
-from schemacut.decompose import assemble, held_and_lost
+from schemacut import fixtures, pipeline
+from schemacut.decompose import held_and_lost
 from schemacut.model import preprocess_policy
 
 from .conftest import (
@@ -201,14 +201,14 @@ def test_fragment_bookkeeping_matches_all_pairs_scans():
     lost_any = 0
     for _ in range(300):
         schema = random_schema(rng)
-        per_relation = {}
+        fragments = []
         for rel in schema.relations:
-            per_relation[rel.name] = []
             for part in range(1, rng.randint(1, 4)):
                 attrs = rng.sample(rel.attributes, rng.randint(1, len(rel.attributes)))
-                per_relation[rel.name].append(Fragment(rel.name, tuple(sorted(attrs)), part))
+                fragments.append(Fragment(rel.name, tuple(sorted(attrs)), part))
         dfds = decompose_fds(schema.fds)
-        result = assemble(schema, per_relation, (), dfds)
+        fragments = tuple(fragments)
+        result = DecomposedSchema(fragments, (), held_and_lost(schema, fragments, dfds)[1])
         assert fragment_schema(result, schema).fds == scanned_fragment_fds(result, schema)
         want = scanned_lost_dependencies(schema, result.fragments, dfds)
         assert result.lost_dependencies == want
@@ -399,7 +399,7 @@ def test_recut_round_leaves_the_base_graph_cached(monkeypatch):
     second = secure_decompose(schema, policy)
     assert pipeline._base_graph.cache_info().hits == hits + 1
     assert len(builds) == rounds and schema not in builds
-    assert report_to_dict(second) == report_to_dict(first)
+    assert second == first
 
 
 @pytest.mark.parametrize("case", ["containment re-cut", "union rule"])
@@ -435,8 +435,18 @@ def test_each_round_sorts_the_dependencies_once(monkeypatch, case):
     assert [b.fds for b in builds[1:]] == [held for held, _ in passes[:len(builds) - 1]]
     assert len(builds) == 1 + recuts + (not report.security_verified)
     del splits[:], passes[:]
-    assert report_to_dict(secure_decompose(schema, policy)) == report_to_dict(report)
+    assert secure_decompose(schema, policy) == report
     assert len(splits) == 0 and len(passes) == 1 + recuts
+
+
+@pytest.mark.parametrize("name", fixtures.EXAMPLE_NAMES)
+def test_equal_inputs_give_equal_reports(name):
+    # A report is a plain value: a call on a cleared cache and a cache hit
+    # compare equal, cut, witnesses and strategy included.
+    schema, policy = fixtures.example_schema(name)
+    pipeline._base_graph.cache_clear()
+    first = secure_decompose(schema, policy)
+    assert secure_decompose(schema, policy) == first
 
 
 def test_interleaved_schemas_match_reports_made_without_the_cache(example1, example2):
@@ -460,10 +470,10 @@ def test_interleaved_schemas_match_reports_made_without_the_cache(example1, exam
     want = []
     for schema, policy in calls:
         pipeline._base_graph.cache_clear()
-        want.append(report_to_dict(secure_decompose(schema, policy)))
+        want.append(secure_decompose(schema, policy))
     pipeline._base_graph.cache_clear()
     for _ in range(2):
-        got = [report_to_dict(secure_decompose(schema, policy)) for schema, policy in calls]
+        got = [secure_decompose(schema, policy) for schema, policy in calls]
         assert got == want
     info = pipeline._base_graph.cache_info()
     assert info.hits > 0 and info.currsize == 1
@@ -492,14 +502,14 @@ def test_truncated_report_repeats_on_a_memo_hit(example2, monkeypatch):
     schema, policy = example2
     tight = PathLimits(max_paths_per_target=1)
     pipeline._base_graph.cache_clear()
-    first = report_to_dict(secure_decompose(schema, policy, tight))
-    assert any("truncated" in w for w in first["warnings"])
+    first = secure_decompose(schema, policy, tight)
+    assert any("truncated" in w for w in first.warnings)
     walks = count_walks(monkeypatch)
-    again = report_to_dict(secure_decompose(schema, policy, PathLimits(max_paths_per_target=1)))
+    again = secure_decompose(schema, policy, PathLimits(max_paths_per_target=1))
     base, _ = pipeline._base_graph(schema)
     assert id(base.parents) not in {adjacency for adjacency, _, _ in walks}
     pipeline._base_graph.cache_clear()
-    fresh = report_to_dict(secure_decompose(schema, policy, tight))
+    fresh = secure_decompose(schema, policy, tight)
     assert again == first == fresh
 
 

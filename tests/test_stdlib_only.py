@@ -1,4 +1,5 @@
-"""The package is stdlib-only: no module imports anything else."""
+"""The package is stdlib-only: no module imports anything else, and every
+import is a statement of its module's body, not of a function or class."""
 
 from __future__ import annotations
 
@@ -20,6 +21,16 @@ def absolute_imports(path: Path) -> list[str]:
     return names
 
 
+def nested_imports(path: Path) -> list[int]:
+    """Line numbers of the imports in one module that are not at module level."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+    ]
+
+
 def test_package_imports_only_the_standard_library():
     modules = sorted(PACKAGE.rglob("*.py"))
     assert len(modules) > 10
@@ -36,3 +47,18 @@ def test_the_guard_sees_a_third_party_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("import json\ndef f():\n    from numpy.linalg import norm\n")
     assert [n for n in absolute_imports(module) if n not in sys.stdlib_module_names] == ["numpy"]
+
+
+def test_package_imports_only_at_module_level():
+    nested = [
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line in nested_imports(path)
+    ]
+    assert nested == []
+
+
+def test_the_guard_sees_a_nested_import(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import json\nclass C:\n    def f(self):\n        from .x import y\n")
+    assert nested_imports(module) == [4]
