@@ -86,7 +86,6 @@ from .consistency import (
 )
 from .pipeline import (
     DecompositionReport,
-    fragment_schema,
     report_to_dict,
     secure_decompose,
     verify_decomposition,

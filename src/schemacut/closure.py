@@ -2,7 +2,9 @@
 
 The full dependency closure is never materialised (it is exponential).
 Every closure query (attribute closures, identifiers, and verification
-by closure in the pipeline) is one ``closure_masks`` fixpoint.
+by closure in the pipeline) is one ``closure_masks`` fixpoint.  A re-cut
+asks how one closure reached a set: ``closure_reasons`` records it and
+``derivation`` reads it back.
 """
 
 from __future__ import annotations
@@ -83,12 +85,68 @@ def closure_masks(
     return masks
 
 
-def associable(masks: Mapping[str, int], attrs: Iterable[str]) -> bool:
-    """Whether one group's closure holds every attribute of ``attrs``."""
+def holders(masks: Mapping[str, int], attrs: Iterable[str]) -> int:
+    """Bit ``i`` is set iff the closure of group ``i`` holds every attribute of ``attrs``."""
     common = -1
     for attr in attrs:
         common &= masks.get(attr, 0)
-    return common != 0
+    return common
+
+
+def associable(masks: Mapping[str, int], attrs: Iterable[str]) -> bool:
+    """Whether one group's closure holds every attribute of ``attrs``."""
+    return holders(masks, attrs) != 0
+
+
+def closure_reasons(
+    seed: Iterable[str], fds: Sequence[FunctionalDependency]
+) -> dict[str, FunctionalDependency | None]:
+    """The closure of ``seed`` under ``fds``, in the order it grew, each
+    attribute mapped to the dependency that added it (``None`` for a seed).
+
+    Beeri & Bernstein's counting closure: a dependency fires, in the order
+    dependencies become ready, once its last missing lhs attribute is added.
+    """
+    reasons: dict[str, FunctionalDependency | None] = dict.fromkeys(seed)
+    missing = [0] * len(fds)
+    readers: dict[str, list[int]] = {}
+    for i, dep in enumerate(fds):
+        for attr in set(dep.lhs).difference(reasons):
+            missing[i] += 1
+            readers.setdefault(attr, []).append(i)
+    ready = [i for i, count in enumerate(missing) if not count]
+    for i in ready:  # first in, first out: the loop reads what it appends
+        for attr in fds[i].rhs:
+            if attr not in reasons:
+                reasons[attr] = fds[i]
+                for j in readers.get(attr, ()):
+                    missing[j] -= 1
+                    if not missing[j]:
+                        ready.append(j)
+    return reasons
+
+
+def derivation(
+    reasons: Mapping[str, FunctionalDependency | None], target: Iterable[str]
+) -> tuple[AttributeSet, tuple[FunctionalDependency, ...]]:
+    """The seed attributes and the dependencies that ``reasons`` (from
+    ``closure_reasons``) used to reach ``target``, which it must hold.
+
+    Together they are a B-hyperpath (Ausiello, D'Atri & Saccà, JACM 1983):
+    the seed attributes closed under only these dependencies hold ``target``.
+    Walking the closure backwards meets every attribute after all that used it.
+    """
+    need = set(target)
+    seeds: list[str] = []
+    used: list[FunctionalDependency] = []
+    for attr, dep in reversed(reasons.items()):
+        if attr in need:
+            if dep is None:
+                seeds.append(attr)
+            else:
+                used.append(dep)
+                need.update(dep.lhs)
+    return attr_set(seeds), tuple(used)
 
 
 def attribute_closure(start: Iterable[str], fds: DecomposedFdSet) -> AttributeSet:

@@ -207,10 +207,52 @@ def decomposition_from_dict(doc: Mapping) -> DecomposedSchema:
     )
 
 
+# SQLite's keywords (https://www.sqlite.org/lang_keywords.html): never bare.
+_SQL_KEYWORDS = frozenset("""
+    ABORT ACTION ADD AFTER ALL ALTER ALWAYS ANALYZE AND AS ASC ATTACH AUTOINCREMENT
+    BEFORE BEGIN BETWEEN BY CASCADE CASE CAST CHECK COLLATE COLUMN COMMIT CONFLICT
+    CONSTRAINT CREATE CROSS CURRENT CURRENT_DATE CURRENT_TIME CURRENT_TIMESTAMP
+    DATABASE DEFAULT DEFERRABLE DEFERRED DELETE DESC DETACH DISTINCT DO DROP EACH
+    ELSE END ESCAPE EXCEPT EXCLUDE EXCLUSIVE EXISTS EXPLAIN FAIL FILTER FIRST
+    FOLLOWING FOR FOREIGN FROM FULL GENERATED GLOB GROUP GROUPS HAVING IF IGNORE
+    IMMEDIATE IN INDEX INDEXED INITIALLY INNER INSERT INSTEAD INTERSECT INTO IS
+    ISNULL JOIN KEY LAST LEFT LIKE LIMIT MATCH MATERIALIZED NATURAL NO NOT NOTHING
+    NOTNULL NULL NULLS OF OFFSET ON OR ORDER OTHERS OUTER OVER PARTITION PLAN
+    PRAGMA PRECEDING PRIMARY QUERY RAISE RANGE RECURSIVE REFERENCES REGEXP REINDEX
+    RELEASE RENAME REPLACE RESTRICT RETURNING RIGHT ROLLBACK ROW ROWS SAVEPOINT
+    SELECT SET TABLE TEMP TEMPORARY THEN TIES TO TRANSACTION TRIGGER UNBOUNDED
+    UNION UNIQUE UPDATE USING VACUUM VALUES VIEW VIRTUAL WHEN WHERE WINDOW WITH
+    WITHOUT
+""".split())
+
+
+def _sql_name(name: str) -> str:
+    """``name`` bare if it is plain (ASCII word, no keyword), else in double
+    quotes with every embedded double quote doubled."""
+    if name.isascii() and name.isidentifier() and name.upper() not in _SQL_KEYWORDS:
+        return name
+    return '"' + name.replace('"', '""') + '"'
+
+
 def sql_views(result: DecomposedSchema) -> str:
-    """One CREATE VIEW projection per fragment (syntactic only)."""
-    lines = [
-        f"CREATE VIEW {f.name} AS SELECT {', '.join(f.attrs)} FROM {f.source_relation};"
-        for f in result.fragments
-    ]
+    """One CREATE VIEW projection per fragment (syntactic only).
+
+    A view takes its fragment's name unless a base table or an earlier view
+    has it (SQLite compares names without case); then it takes the first
+    free of ``<name>_view``, ``<name>_view2``, ...  No other view is renamed.
+    """
+    created = {f.source_relation.lower() for f in result.fragments}  # tables, then views
+    reserved = created | {f.name.lower() for f in result.fragments}
+    lines = []
+    for f in result.fragments:
+        view, k = f.name, 1
+        while view.lower() in (created if view == f.name else reserved):
+            view, k = f"{f.name}_view{k if k > 1 else ''}", k + 1
+        created.add(view.lower())
+        reserved.add(view.lower())
+        columns = ", ".join(map(_sql_name, f.attrs))
+        lines.append(
+            f"CREATE VIEW {_sql_name(view)} AS SELECT {columns} "
+            f"FROM {_sql_name(f.source_relation)};"
+        )
     return "\n".join(lines) + ("\n" if lines else "")

@@ -15,8 +15,7 @@ Each graph indexes its edges once, on first use, as ``Fdg.children`` and
 memoises ``joinchain``'s ancestor walks, one per (target, limits), so a
 target shared by many policies is walked once per graph.  ``pipeline``
 keeps the last schema's graph between calls, so a schema decomposed under
-many policies is built, indexed and walked once; a fragment graph is
-built for one re-cut round and dropped after it, with its walks.
+many policies is built, indexed and walked once; it builds no other graph.
 """
 
 from __future__ import annotations

@@ -6,10 +6,12 @@ enumeration walks each target's parents (one iterative DFS each), combines
 paths per shared end vertex, and discards chains that contain another
 chain.  A target that is itself the ancestor contributes an empty path.
 
-Each target's walk is taken from the graph's memo (``Fdg.parent_walks``),
-so policies sharing a target over one graph walk it once per limits.
-Memoised walks are shared, so ``SimplePaths.paths`` is read-only.
-Forward walks (``enumerate_simple_paths``) are not memoised.
+The pipeline enumerates chains on the schema's graph only, for the first
+round's cut; its re-cut rounds follow closure derivations.  Each target's
+walk is taken from the graph's memo (``Fdg.parent_walks``), so policies
+sharing a target over one graph walk it once per limits.  Memoised walks
+are shared, so ``SimplePaths.paths`` is read-only.  Forward walks
+(``enumerate_simple_paths``) are not memoised.
 """
 
 from __future__ import annotations

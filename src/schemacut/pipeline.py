@@ -9,25 +9,23 @@ hit without it; fewer constraints keep more associations), turns the
 remaining cut edges into new forbidden co-occurrences, and decomposes
 every relation.  The report's ``consistency.cut`` is the cut as decided,
 before reverse-delete; the edges the decomposition forbids are the ones
-whose co-occurrence is in ``new_forbidden``.  The result is then
-*verified by closure*, which no path bound limits and which is the
-attacker's rule: no fragment's attribute closure, under the dependencies
-some fragment holds whole, may contain a forbidden set.  One closure
-verdict (``_verdict``) decides each round and ``verify_decomposition``
-alike.
+whose co-occurrence is in ``new_forbidden``.
 
-Each round makes one pass over the decomposed dependencies
-(``decompose.held_and_lost``).  The dependencies some fragment holds feed
-the closure check and, on a re-cut, the fragment graph; the ones a
-relation lost become the report's ``lost_fds``.
+Each round then sorts the decomposed dependencies once
+(``decompose.held_and_lost``) into those some fragment holds whole and
+those a relation lost (the report's ``lost_fds``), and *verifies by
+closure*, which no path bound limits and which is the attacker's rule: no
+fragment's attribute closure under the held dependencies may contain a
+forbidden set.  One closure verdict (``_verdict``) decides each round and
+``verify_decomposition`` alike.
 
-Verification is load-bearing, not decorative.  A cut through a composite
-vertex's containment edge only bans the full composite, so smaller
-fragments can keep the association alive; when verification finds such a
-surviving association the pipeline cuts again on the fragment graph and
-re-decomposes until secure, or until the bounded chain enumeration finds
-nothing new to cut (as for an association through a composite lhs), which
-the report flags as not secure.  Required-set survival is decided by the
+Verification is load-bearing.  A cut through a composite vertex's
+containment edge only bans the full composite, and a composite lhs joins
+fragments where no join chain does, so an association can survive the
+first round.  The re-cut then forbids co-occurrences of the closure's own
+derivations of it (``_derivation_cut``).  Each lies inside a fragment, so
+every round adds a new set and the loop ends secure, with
+``_MAX_RECUT_ROUNDS`` as a guard.  Required-set survival is decided by the
 same verdict on the final fragments; failures downgrade the report with a
 warning.  A report is a plain value: it carries no timing, so equal inputs
 give equal (``==``) reports.
@@ -36,8 +34,7 @@ Everything the schema alone determines is kept for the last schema seen
 (a one-entry cache keyed by the schema value): its graph, with its edge
 index and its memoised ancestor walks, and its decomposed dependencies.
 Decomposing one schema under many policies builds the graph, walks each
-target and decomposes the dependencies once.  Fragment graphs are never
-cached; their walks are dropped with them.
+target and decomposes the dependencies once; no other graph is built.
 """
 
 from __future__ import annotations
@@ -45,13 +42,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .closure import DecomposedFdSet, associable, closure_masks, decompose_fds
+from .closure import (
+    DecomposedFdSet,
+    associable,
+    closure_masks,
+    closure_reasons,
+    decompose_fds,
+    derivation,
+    holders,
+)
 from .consistency import ConsistencyResult, check, make_instance
 from .cut import (
     CutSet,
     edges_to_forbidden_sets,
     fdg_edge_sort_key,
-    greedy_cut,
+    greedy_hitting_set,
     reverse_delete,
 )
 from .decompose import (
@@ -66,8 +71,8 @@ from .joinchain import PathLimits, join_chains
 from .model import (
     AttributeSet,
     Policy,
-    Relation,
     Schema,
+    attr_set,
     preprocess_policy,
 )
 
@@ -94,22 +99,6 @@ def _base_graph(schema: Schema) -> tuple[Fdg, DecomposedFdSet]:
     return build_fdg(schema), decompose_fds(schema.fds)
 
 
-def fragment_schema(result: DecomposedSchema, schema: Schema) -> Schema:
-    """Rebuild a schema whose relations are the fragments.
-
-    Dependencies survive when fully co-located in some fragment; keys are
-    not re-derived (each fragment gets its full attribute set as a trivial
-    key, which the graph construction never consults).
-    """
-    held, _ = held_and_lost(schema, result.fragments, decompose_fds(schema.fds))
-    return _fragment_schema(result.fragments, held, schema)
-
-
-def _fragment_schema(fragments, held, schema: Schema) -> Schema:
-    relations = tuple(Relation(frag.name, frag.attrs, frag.attrs) for frag in fragments)
-    return Schema(relations, held, schema.attribute_names)
-
-
 def verify_decomposition(
     result: DecomposedSchema, schema: Schema, policy: Policy
 ) -> tuple[bool, tuple[tuple[AttributeSet, bool], ...]]:
@@ -120,18 +109,53 @@ def verify_decomposition(
     flagged with whether it is still associable in that sense.
     """
     held, _ = held_and_lost(schema, result.fragments, decompose_fds(schema.fds))
-    unbroken, required_flags = _verdict(result.fragments, held, policy)
+    _, unbroken, required_flags = _verdict(result.fragments, held, policy)
     return not unbroken, required_flags
 
 
 def _verdict(
     fragments, held, policy: Policy
-) -> tuple[list[AttributeSet], tuple[tuple[AttributeSet, bool], ...]]:
-    """The forbidden sets still associable among ``fragments`` under the
-    dependencies ``held``, and each required set flagged with whether it is."""
+) -> tuple[dict[str, int], list[AttributeSet], tuple[tuple[AttributeSet, bool], ...]]:
+    """The fragments' closure masks under the dependencies ``held``, the
+    forbidden sets still associable among them, and each required set
+    flagged with whether it is."""
     masks = closure_masks([frag.attrs for frag in fragments], held)
     unbroken = [s for s in policy.forbidden if associable(masks, s)]
-    return unbroken, tuple((req, associable(masks, req)) for req in policy.required)
+    return masks, unbroken, tuple((req, associable(masks, req)) for req in policy.required)
+
+
+def _derivation_cut(fragments, held, masks, unbroken, kept) -> tuple[AttributeSet, ...]:
+    """The co-occurrences a re-cut forbids: one from every derivation of an
+    ``unbroken`` set, taken by the greedy hitting set in ``greedy_cut``'s
+    order (score descending, size ascending, then the set), after sparing
+    first those a ``kept`` required set's derivation uses or that contain one.
+
+    Each fragment whose closure holds a set gives one derivation of it.  It
+    uses each of its dependencies' attributes, and its seed attributes when
+    there are two or more; all lie inside a fragment, so none is forbidden.
+    """
+    reasons: dict[int, dict] = {}
+
+    def derivations(sets) -> list[frozenset]:
+        out = []
+        for s in sets:
+            found = holders(masks, s)
+            for i, frag in enumerate(fragments):
+                if found >> i & 1:
+                    if i not in reasons:
+                        reasons[i] = closure_reasons(frag.attrs, held)
+                    seeds, used = derivation(reasons[i], s)
+                    co = {attr_set(dep.lhs + dep.rhs) for dep in used}
+                    out.append(frozenset(co | {seeds} if len(seeds) > 1 else co))
+        return out
+
+    spared = frozenset().union(*derivations(kept))
+
+    def order(co: AttributeSet, count: int) -> tuple:
+        spare = co in spared or any(set(req) <= set(co) for req in kept)
+        return (spare, -count, len(co), co)
+
+    return greedy_hitting_set(derivations(unbroken), order).edges
 
 
 def secure_decompose(
@@ -145,8 +169,8 @@ def secure_decompose(
     """Produce a verified secure decomposition of the schema's relations.
 
     An inconsistent policy yields a report with no fragments rather than
-    an exception.  Truncated chain enumerations, any extra cut rounds and
-    associations the re-cut cannot break are surfaced as warnings.
+    an exception.  Truncated chain enumerations, any re-cut rounds and
+    required sets lost are surfaced as warnings.
     """
     schema, policy, warnings = preprocess_policy(schema, policy)
     warnings = list(warnings)
@@ -177,10 +201,7 @@ def secure_decompose(
     cut: CutSet = reverse_delete(consistency.cut, instance.forbidden_chains)
     new_forbidden = list(edges_to_forbidden_sets(cut, fdg))
 
-    effective = list(policy.forbidden)
-    for s in new_forbidden:
-        if s not in effective:
-            effective.append(s)
+    effective = list(policy.forbidden) + [s for s in new_forbidden if s not in policy.forbidden]
 
     for rounds in range(_MAX_RECUT_ROUNDS + 1):
         fragments = tuple(
@@ -188,18 +209,13 @@ def secure_decompose(
             for frag in decompose_relation(rel, effective, max_width)
         )
         held, lost = held_and_lost(schema, fragments, dfds)
-        unbroken, required_flags = _verdict(fragments, held, policy)
+        masks, unbroken, required_flags = _verdict(fragments, held, policy)
         if not unbroken:
             break
         if rounds == _MAX_RECUT_ROUNDS:
             raise RuntimeError("re-cut did not converge")
-        new_fdg = build_fdg(_fragment_schema(fragments, held, schema))
-        extra_cut = greedy_cut([join_chains(new_fdg, s, limits) for s in unbroken], new_fdg)
-        extra_sets = edges_to_forbidden_sets(extra_cut, new_fdg)
-        progress = [s for s in extra_sets if s not in effective]
-        if not progress:
-            warnings.append(f"re-cut found no new cut; still associable: {_braced(unbroken)}")
-            break
+        kept = [req for req, ok in required_flags if ok]
+        progress = _derivation_cut(fragments, held, masks, unbroken, kept)
         warnings.append(
             "additional co-occurrence constraints were needed to break surviving "
             + "associations: " + _braced(progress)

@@ -117,13 +117,16 @@ def test_decompose_inconsistent_exits_2(tmp_path, capsys):
     assert "inconsistent" in stderr
 
 
-def test_decompose_union_rule_association_exits_3(tmp_path, capsys):
+def test_decompose_union_rule_association_exits_0_after_a_recut(tmp_path, capsys):
     path = tmp_path / "union.json"
     path.write_text(json.dumps(union_rule_doc()))
     code, stdout, stderr = run(capsys, "decompose", str(path))
-    assert code == 3
-    assert "warning: re-cut found no new cut; still associable: {A, D}\n" in stderr
-    assert "secure=false" in stderr
+    assert code == 0
+    assert (
+        "warning: additional co-occurrence constraints were needed to break "
+        "surviving associations: {A, B}\n"
+    ) in stderr
+    assert "secure=true" in stderr
 
 
 def test_decompose_malformed_json_exits_1(tmp_path, capsys):

@@ -14,7 +14,13 @@ from schemacut import (
     decompose_fds,
     identifiers_of,
 )
-from schemacut.closure import associable, closure_masks
+from schemacut.closure import (
+    associable,
+    closure_masks,
+    closure_reasons,
+    derivation,
+    holders,
+)
 
 from .conftest import composite_key_schema, random_fragments
 
@@ -222,6 +228,45 @@ def test_closure_masks_match_the_worklist_closure_of_every_group(rng):
 def test_closure_masks_close_undecomposed_dependencies(fds, groups):
     masks = closure_masks(groups, fds)
     assert groups_holding(masks, len(groups)) == [brute_closure(g, fds) for g in groups]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_a_derivation_alone_reaches_its_target(rng):
+    # Reference check: closing the derivation's seed part under only the
+    # derivation's dependencies reaches the target, and the reasons hold
+    # exactly the group's closure.
+    schema = composite_key_schema(rng)
+    dfds = decompose_fds(schema.fds).fds
+    groups = [frag.attrs for frag in random_fragments(rng, schema)]
+    masks = closure_masks(groups, dfds)
+    for i, group in enumerate(groups):
+        reasons = closure_reasons(group, dfds)
+        closure = worklist_closure(group, dfds)
+        assert attr_set(reasons) == closure
+        assert all((reasons[a] is None) == (a in group) for a in closure)
+        targets = [closure] + [rng.sample(closure, min(2, len(closure))) for _ in range(3)]
+        for target in targets:
+            assert holders(masks, target) >> i & 1
+            seeds, used = derivation(reasons, target)
+            assert set(seeds) <= set(group)
+            assert len(set(used)) == len(used) and set(used) <= set(dfds)
+            assert set(target) <= set(worklist_closure(seeds, used))
+
+
+def test_derivation_of_the_union_rule():
+    # From A, D needs both parts of BC: the derivation holds A -> B, A -> C
+    # and BC -> D, and only A of the seed.
+    dfds = decompose_fds(
+        [
+            FunctionalDependency(("A",), ("B", "C")),
+            FunctionalDependency(("B", "C"), ("D",)),
+        ]
+    ).fds
+    seeds, used = derivation(closure_reasons(("A", "E"), dfds), ("A", "D"))
+    assert seeds == ("A",)
+    assert sorted(map(str, used)) == ["A->B", "A->C", "BC->D"]
+    assert derivation(closure_reasons(("B", "C"), dfds), ("D",)) == (("B", "C"), (dfds[2],))
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import itertools
 import random
+import sqlite3
 
 import pytest
 
 from schemacut import (
     Relation,
+    fixtures,
+    make_policy,
+    make_schema,
+    secure_decompose,
     WidthBoundExceeded,
     attr_set,
     decompose_fds,
@@ -223,3 +228,63 @@ def test_sql_views(example0):
     text = sql_views(result)
     assert "CREATE VIEW R_k1 AS SELECT A, D FROM R_k;" in text
     assert text.count("CREATE VIEW") == 3
+
+
+def run_views(schema, result):
+    """Run ``sql_views(result)`` in SQLite against empty base tables of
+    ``schema``; return each view's (name, columns) in creation order."""
+
+    def quote(name):
+        return '"' + name.replace('"', '""') + '"'
+
+    db = sqlite3.connect(":memory:")
+    try:
+        for rel in schema.relations:
+            db.execute(f"CREATE TABLE {quote(rel.name)} ({', '.join(map(quote, rel.attributes))})")
+        db.executescript(sql_views(result))
+        views = [
+            name for (name,) in
+            db.execute("SELECT name FROM sqlite_master WHERE type = 'view' ORDER BY rowid")
+        ]
+        return [
+            (name, tuple(row[1] for row in db.execute(f"PRAGMA table_info({quote(name)})")))
+            for name in views
+        ]
+    finally:
+        db.close()
+
+
+@pytest.mark.parametrize("name", fixtures.EXAMPLE_NAMES)
+def test_sql_views_run_against_the_base_tables(name):
+    # An unsplit relation's fragment keeps the relation's name, which its
+    # base table already has: that view, and only that one, is renamed.
+    schema, policy = fixtures.example_schema(name)
+    result = secure_decompose(schema, policy).result
+    views = run_views(schema, result)
+    assert [columns for _, columns in views] == [f.attrs for f in result.fragments]
+    tables = {rel.name for rel in schema.relations}
+    for (view, _), frag in zip(views, result.fragments):
+        assert view == (frag.name + "_view" if frag.name in tables else frag.name)
+
+
+def test_sql_views_quote_and_rename_awkward_names():
+    # R_1's first fragment is named R_11, like a base table, and SQLite
+    # reads r_11_VIEW as R_11_view; "order" and "group" are keywords; the
+    # other names need quotes to parse at all.
+    schema = make_schema(
+        [
+            ("R_1", ["A", "B"], ["A"]),
+            ("R_11", ["A", "C"], ["A"]),
+            ("order", ["group", 'say "hi"', "x y"]),
+            ("r_11_VIEW", ["C"]),
+        ],
+        [(["A"], ["B"]), (["A"], ["C"])],
+    )
+    result = secure_decompose(schema, make_policy(schema, forbidden=[["A", "B"]])).result
+    views = run_views(schema, result)
+    assert [name for name, _ in views] == [
+        "R_11_view2", "R_12", "R_11_view3", "order_view", "r_11_VIEW_view"
+    ]
+    assert views[3] == ("order_view", ("group", 'say "hi"', "x y"))
+    text = sql_views(result)
+    assert 'CREATE VIEW order_view AS SELECT "group", "say ""hi""", "x y" FROM "order";' in text

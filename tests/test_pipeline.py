@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,9 +15,10 @@ from schemacut import (
     DecomposedSchema,
     Fragment,
     PathLimits,
+    Relation,
+    Schema,
     decompose_fds,
     dependency_loss,
-    fragment_schema,
     greedy_cut,
     join_chains,
     build_fdg,
@@ -157,7 +163,7 @@ def test_verification_agrees_with_join_chains_on_random_fragments():
         sets = [rng.sample(pool, rng.randint(2, min(3, len(pool)))) for _ in range(4)]
         policy = make_policy(schema, forbidden=sets[:2], required=sets)
         result = DecomposedSchema(tuple(fragments), (), ())
-        fragment_fdg = build_fdg(fragment_schema(result, schema))
+        fragment_fdg = build_fdg(scanned_fragment_schema(result, schema))
         families = {s: join_chains(fragment_fdg, s) for s in policy.required}
         if any(fam.truncated for fam in families.values()):
             continue
@@ -169,13 +175,23 @@ def test_verification_agrees_with_join_chains_on_random_fragments():
 
 
 def scanned_fragment_fds(result, schema):
-    """Reference: the all-pairs scan that ``fragment_schema`` replaced."""
+    """Reference: the all-pairs scan that ``held_and_lost``'s held list replaced."""
     fragment_sets = [set(frag.attrs) for frag in result.fragments]
     return tuple(
         dep
         for dep in decompose_fds(schema.fds)
         if any(set(dep.lhs) | set(dep.rhs) <= fs for fs in fragment_sets)
     )
+
+
+def scanned_fragment_schema(result, schema):
+    """The fragments as relations, holding the dependencies they hold whole.
+
+    Keys are not re-derived: each fragment is its own trivial key, which the
+    graph construction never consults.
+    """
+    relations = tuple(Relation(frag.name, frag.attrs, frag.attrs) for frag in result.fragments)
+    return Schema(relations, scanned_fragment_fds(result, schema), schema.attribute_names)
 
 
 def scanned_lost_dependencies(schema, fragments, dfds):
@@ -209,7 +225,6 @@ def test_fragment_bookkeeping_matches_all_pairs_scans():
         dfds = decompose_fds(schema.fds)
         fragments = tuple(fragments)
         result = DecomposedSchema(fragments, (), held_and_lost(schema, fragments, dfds)[1])
-        assert fragment_schema(result, schema).fds == scanned_fragment_fds(result, schema)
         want = scanned_lost_dependencies(schema, result.fragments, dfds)
         assert result.lost_dependencies == want
         assert held_and_lost(schema, result.fragments, dfds) == (
@@ -229,29 +244,87 @@ def test_long_fd_chain_decomposes_securely():
     assert report.warnings == ()
 
 
-def test_association_beyond_path_limits_is_not_reported_secure():
+def test_association_beyond_path_limits_is_cut_by_its_derivation():
     # With one-edge paths the enumeration only sees the chain through the
     # relation vertex ABC; cutting it leaves fragments AB and BC, which
-    # still join on B.  Verification walks the whole fragment graph, so the
-    # report must say so instead of claiming security.
+    # still join on B.  The path limits bound only the first round: the
+    # re-cut forbids a co-occurrence of the closure's derivation A -> B,
+    # B -> C, and no limit applies there.
     schema = make_schema([("R", ["A", "B", "C"], ["A"])], [(["A"], ["B"]), (["B"], ["C"])])
     policy = make_policy(schema, forbidden=[["A", "C"]])
     report = secure_decompose(schema, policy, limits=PathLimits(max_path_length=1))
-    assert fragments_by_relation(report.result) == {"R": {V("AB"), V("BC")}}
-    assert not report.security_verified
-    assert report.warnings[-1] == "re-cut found no new cut; still associable: {A, C}"
+    assert fragments_by_relation(report.result) == {"R": {V("A"), V("BC")}}
+    assert report.security_verified
+    assert report.warnings[-1] == (
+        "additional co-occurrence constraints were needed to break surviving associations: {A, B}"
+    )
+    assert verify_decomposition(report.result, schema, policy) == (True, ())
 
 
-def test_union_rule_association_is_not_reported_secure():
+def test_union_rule_association_is_cut_by_its_derivation():
     # R1 joined with R2 on A derives B and C, and BC -> D then adds D, so
-    # the key joins associate A with D although no join chain does.  The
-    # re-cut finds no chain to cut, so the report must say not secure.
+    # the key joins associate A with D although no join chain does.  Both
+    # derivations (from R1 and from R2) use {A, B}, {A, C} and {B, C, D};
+    # the smallest set first in order, {A, B}, breaks both.
     schema, policy = load_schema_doc(union_rule_doc())
     report = secure_decompose(schema, policy)
     assert report.consistency.consistent
-    assert not report.security_verified
-    assert report.warnings == ("re-cut found no new cut; still associable: {A, D}",)
-    assert verify_decomposition(report.result, schema, policy) == (False, ())
+    assert report.security_verified
+    assert report.warnings == (
+        "additional co-occurrence constraints were needed to break surviving associations: {A, B}",
+    )
+    assert fragments_by_relation(report.result) == {
+        "R1": {V("A"), V("B")}, "R2": {V("AC")}, "R3": {V("BCD")}
+    }
+    assert verify_decomposition(report.result, schema, policy) == (True, ())
+
+
+def required_pair_case():
+    """R0(a4, a5, a8), key a5, a5 -> a4; {a4, a8} forbidden, {a4, a5} required.
+
+    Input 109 of the small_mixed workload, seed 0.
+    """
+    schema = make_schema([("R0", ["a4", "a5", "a8"], ["a5"])], [(["a5"], ["a4"])])
+    return schema, make_policy(schema, forbidden=[["a4", "a8"]], required=[["a4", "a5"]])
+
+
+def test_recut_keeps_a_required_set_its_derivation_uses():
+    # The first round cuts only the relation's containment edge to a8, and
+    # banning {a4, a5, a8} leaves fragments a4a5 and a5a8, whose closure
+    # joins a4 with a8 again.  The derivation from a5a8 uses {a5, a8} and
+    # {a4, a5}; the required set's own derivation uses {a4, a5}, so the
+    # re-cut spares it and forbids {a5, a8}.
+    schema, policy = required_pair_case()
+    report = secure_decompose(schema, policy)
+    assert report.consistency.consistent
+    assert report.security_verified
+    assert report.required_verified == ((("a4", "a5"), True),)
+    assert report.result.new_forbidden == (("a4", "a5", "a8"), ("a5", "a8"))
+    assert fragments_by_relation(report.result) == {"R0": {("a4", "a5"), ("a8",)}}
+
+
+def _consistent_policy_case(rng, make):
+    """A random schema from ``make``, forbidden sets and required pairs
+    drawn from within one relation."""
+    schema = make(rng)
+    base = random_policy(rng, schema)
+    wide = [rel.attributes for rel in schema.relations if len(rel.attributes) >= 2]
+    required = [rng.sample(rng.choice(wide), 2) for _ in range(rng.randint(0, 2))] if wide else []
+    return schema, make_policy(schema, forbidden=base.forbidden, required=required)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([random_schema, composite_key_schema]))
+@example(random.Random(53), composite_key_schema)  # {a0, a3} through composite lhs a2a5
+def test_every_consistent_report_is_secure(rng, make):
+    # The re-cut cuts each surviving association's own derivation, so no
+    # consistent report is left unverified, with or without composite keys.
+    schema, policy = _consistent_policy_case(rng, make)
+    report = secure_decompose(schema, policy)
+    if report.consistency.consistent:
+        assert report.security_verified, (schema, policy)
+        schema2, policy2, _ = preprocess_policy(schema, policy)
+        assert verify_decomposition(report.result, schema2, policy2)[0]
 
 
 def _random_verification_case(rng):
@@ -286,7 +359,7 @@ def test_verification_is_never_weaker_than_join_chains_on_composite_keys():
     union_only = 0
     for _ in range(300):
         schema, result, policy = _random_verification_case(rng)
-        fragment_fdg = build_fdg(fragment_schema(result, schema))
+        fragment_fdg = build_fdg(scanned_fragment_schema(result, schema))
         covered = {a for frag in result.fragments for a in frag.attrs}
         families = {
             s: join_chains(fragment_fdg, s) for s in policy.required if covered.issuperset(s)
@@ -307,11 +380,7 @@ def test_public_verification_agrees_with_the_pipeline_on_composite_keys():
     rng = random.Random(1313)
     consistent = unverified = 0
     for _ in range(300):
-        schema = composite_key_schema(rng)
-        base = random_policy(rng, schema)
-        wide = [rel.attributes for rel in schema.relations if len(rel.attributes) >= 2]
-        required = [rng.sample(rng.choice(wide), 2) for _ in range(rng.randint(0, 2))]
-        policy = make_policy(schema, forbidden=base.forbidden, required=required)
+        schema, policy = _consistent_policy_case(rng, composite_key_schema)
         report = secure_decompose(schema, policy)
         if not report.consistency.consistent:
             continue
@@ -322,7 +391,7 @@ def test_public_verification_agrees_with_the_pipeline_on_composite_keys():
         )
         consistent += 1
         unverified += not report.security_verified
-    assert consistent > 200 and unverified > 0
+    assert consistent > 200 and unverified == 0
 
 
 def test_required_set_flags(example2):
@@ -354,7 +423,7 @@ def test_inconsistent_policy_reports_no_fragments():
 def containment_recut_case():
     """A shared containment edge tops the greedy order, but banning the
     whole composite leaves its smaller fragments associable: one re-cut
-    round on the fragment graph is needed."""
+    round is needed."""
     schema = make_schema(
         [
             ("R1", ["a", "b", "p"]),
@@ -369,6 +438,10 @@ def containment_recut_case():
 
 def test_recut_restores_security_for_containment_cuts(monkeypatch):
     # The verify-and-recut round must catch and fix the surviving association.
+    # Banning {a, b, p} splits R1 into ab, ap and bp, but ab still derives
+    # s beside t (a -> s, b -> t) and ap derives u beside q.  Every
+    # co-occurrence of the two derivations scores one, so each gives up its
+    # first in set order: {a, b} and {a, p}.
     schema, policy = containment_recut_case()
     pipeline._base_graph.cache_clear()
     builds = []
@@ -376,17 +449,16 @@ def test_recut_restores_security_for_containment_cuts(monkeypatch):
     report = secure_decompose(schema, policy)
     assert report.security_verified
     rounds = sum("additional co-occurrence" in w for w in report.warnings)
-    assert rounds >= 1
-    assert V("as") in report.result.new_forbidden
-    assert V("au") in report.result.new_forbidden
-    # The schema's graph, then one fragment graph per re-cut round: the
-    # check itself is a closure over the fragments and builds no graph.
-    assert len(builds) == 1 + rounds
+    assert rounds == 1
+    assert report.result.new_forbidden == (V("abp"), V("ab"), V("ap"))
+    # One graph per schema: verification and the re-cut are closures over
+    # the fragments and build none.
+    assert builds == [schema]
 
 
 def test_recut_round_leaves_the_base_graph_cached(monkeypatch):
-    # Fragment graphs are built beside the cache, never in it: after a
-    # re-cut round the next call on the schema builds only fragment graphs.
+    # A re-cut round builds no graph: after one, the next call on the
+    # schema is a cache hit and builds nothing.
     schema, policy = containment_recut_case()
     pipeline._base_graph.cache_clear()
     first = secure_decompose(schema, policy)
@@ -398,15 +470,14 @@ def test_recut_round_leaves_the_base_graph_cached(monkeypatch):
     hits = pipeline._base_graph.cache_info().hits
     second = secure_decompose(schema, policy)
     assert pipeline._base_graph.cache_info().hits == hits + 1
-    assert len(builds) == rounds and schema not in builds
+    assert builds == []
     assert second == first
 
 
 @pytest.mark.parametrize("case", ["containment re-cut", "union rule"])
 def test_each_round_sorts_the_dependencies_once(monkeypatch, case):
     # The schema's dependencies are decomposed once, with its graph; every
-    # round then makes one held/lost pass, and a re-cut builds its fragment
-    # graph from that round's held list.
+    # round then makes one held/lost pass, and a re-cut builds no graph.
     if case == "union rule":
         schema, policy = load_schema_doc(union_rule_doc())
     else:
@@ -427,16 +498,67 @@ def test_each_round_sorts_the_dependencies_once(monkeypatch, case):
     pipeline._base_graph.cache_clear()
     report = secure_decompose(schema, policy)
     recuts = sum("additional co-occurrence" in w for w in report.warnings)
-    assert (recuts > 0) == (case == "containment re-cut")
+    assert recuts == 1 and report.security_verified
     assert len(splits) == 1
     assert len(passes) == 1 + recuts
     assert report.result.lost_dependencies == passes[-1][1]
-    # Every round but a converged last one re-cuts on a graph of what it holds.
-    assert [b.fds for b in builds[1:]] == [held for held, _ in passes[:len(builds) - 1]]
-    assert len(builds) == 1 + recuts + (not report.security_verified)
+    assert builds == [schema]
     del splits[:], passes[:]
     assert secure_decompose(schema, policy) == report
     assert len(splits) == 0 and len(passes) == 1 + recuts
+
+
+def schema_doc(schema, policy) -> dict:
+    """A document that ``load_schema_doc`` reads back as ``(schema, policy)``."""
+    return {
+        "relations": [
+            {
+                "name": rel.name,
+                "attributes": list(rel.attributes),
+                "primary_key": list(rel.primary_key),
+                "foreign_keys": [
+                    {"attributes": list(fk.attributes), "references": fk.references}
+                    for fk in rel.foreign_keys
+                ],
+            }
+            for rel in schema.relations
+        ],
+        "fds": [
+            {"lhs": list(dep.lhs), "rhs": list(dep.rhs), "probabilistic": dep.probabilistic}
+            for dep in schema.fds
+        ],
+        "policy": {key: [list(s) for s in getattr(policy, key)] for key in ("forbidden", "required")},
+    }
+
+
+REPORTS_SCRIPT = """
+import json, sys
+from schemacut import load_schema_doc, report_to_dict, secure_decompose
+for doc in json.load(sys.stdin):
+    print(json.dumps(report_to_dict(secure_decompose(*load_schema_doc(doc)))))
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    # A re-cut's derivations are sets of frozensets, whose iteration order
+    # follows the string hash seed; the reports must not.
+    cases = [fixtures.example_schema(name) for name in fixtures.EXAMPLE_NAMES]
+    cases += [load_schema_doc(union_rule_doc()), containment_recut_case(), required_pair_case()]
+    docs = [schema_doc(*case) for case in cases]
+    assert [load_schema_doc(doc) for doc in docs] == cases
+    want = "".join(
+        json.dumps(report_to_dict(secure_decompose(*load_schema_doc(doc)))) + "\n" for doc in docs
+    )
+    assert sum("additional co-occurrence" in line for line in want.splitlines()) == 3
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    for seed in ("0", "77"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", REPORTS_SCRIPT],
+            input=json.dumps(docs), env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == want
 
 
 @pytest.mark.parametrize("name", fixtures.EXAMPLE_NAMES)
