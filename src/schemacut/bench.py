@@ -47,6 +47,7 @@ class BenchResult:
     strategy: str
     duration_ms: float
     verdict: bool | None  # None records a timeout
+    exp: int  # position of ``params`` in the grid
 
 
 def generate_instance(params: BenchParams) -> CcInstance:
@@ -78,7 +79,7 @@ def run_benchmark(
     the run continues.  Rows come out in grid order, strategies inner.
     """
     results = []
-    for params in grid:
+    for exp, params in enumerate(grid):
         instance = generate_instance(params)
         for strategy in strategies:
             start = time.perf_counter()
@@ -88,7 +89,7 @@ def run_benchmark(
             except ConsistencyTimeout:
                 verdict = None
             duration = (time.perf_counter() - start) * 1000.0
-            results.append(BenchResult(params, strategy, duration, verdict))
+            results.append(BenchResult(params, strategy, duration, verdict, exp))
     return results
 
 
@@ -99,15 +100,13 @@ CSV_HEADER = ["exp", "strategy", *_PARAM_COLUMNS, "duration_ms", "consistent"]
 def results_to_csv(
     results: Sequence[BenchResult], names: Sequence[str] | None = None
 ) -> str:
-    """Render results as CSV; ``names`` labels experiments in grid order."""
+    """Render results as CSV; ``names[i]`` labels the rows of grid position ``i``."""
     names = names or ()
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(CSV_HEADER)
-    exp_index: dict[BenchParams, int] = {}
     for res in results:
-        i = exp_index.setdefault(res.params, len(exp_index))
-        label = names[i] if i < len(names) else f"Exp_{i + 1}"
+        label = names[res.exp] if res.exp < len(names) else f"Exp_{res.exp + 1}"
         verdict = "timeout" if res.verdict is None else str(res.verdict).lower()
         writer.writerow(
             [

@@ -27,7 +27,7 @@ from pathlib import Path
 from . import __version__
 from .bench import load_grid, results_to_csv, run_benchmark
 from .consistency import ConsistencyTimeout, check, load_cc_instance
-from .decompose import WidthBoundExceeded, sql_views
+from .decompose import DEFAULT_MAX_WIDTH, WidthBoundExceeded, sql_views
 from .fdg import build_fdg, export_dot
 from .joinchain import PathLimits, join_chains
 from .model import SchemaError, attr_set, load_schema, preprocess_policy
@@ -37,6 +37,8 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INCONSISTENT = 2
 EXIT_VERIFY = 3
+
+_MAX_PATHS = PathLimits().max_paths_per_target
 
 
 def _fail(message: str) -> int:
@@ -96,7 +98,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         return EXIT_INCONSISTENT
 
     if args.sql:
-        Path(args.sql).write_text(sql_views(report.result), encoding="utf-8")
+        tables = (rel.name for rel in schema.relations)
+        Path(args.sql).write_text(sql_views(report.result, tables), encoding="utf-8")
     # Reverse-delete may drop cut edges; the decomposition forbids only the
     # co-occurrences in new_forbidden, so show only the edges behind those.
     forbids = set(report.result.new_forbidden)
@@ -129,7 +132,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     doc = {
         "consistent": result.consistent,
         "cut": sorted(result.cut) if result.cut is not None else None,
-        "preserved": [sorted(c) for c in result.preserved] if result.preserved else None,
+        "preserved": None if result.preserved is None else [sorted(c) for c in result.preserved],
     }
     print(json.dumps(doc, indent=2))
     return EXIT_OK if result.consistent else EXIT_INCONSISTENT
@@ -195,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the report JSON here instead of stdout")
     p.add_argument("--sql", help="write CREATE VIEW lines here")
     p.add_argument("--dot", help="write the graph (cut edges highlighted) here")
-    p.add_argument("--max-paths", type=_positive_int, default=10_000)
-    p.add_argument("--max-width", type=_positive_int, default=24)
+    p.add_argument("--max-paths", type=_positive_int, default=_MAX_PATHS)
+    p.add_argument("--max-width", type=_positive_int, default=DEFAULT_MAX_WIDTH)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("check", help="consistency-check an abstract instance")
@@ -208,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chains", help="enumerate join chains for an attribute set")
     p.add_argument("schema")
     p.add_argument("--set", required=True, help="comma-separated attribute names")
-    p.add_argument("--max-paths", type=_positive_int, default=10_000)
+    p.add_argument("--max-paths", type=_positive_int, default=_MAX_PATHS)
     p.set_defaults(func=cmd_chains)
 
     p = sub.add_parser("bench", help="run a benchmark grid")

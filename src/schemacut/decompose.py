@@ -12,7 +12,7 @@ over the fragments and their relations, once per pipeline round.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .closure import DecomposedFdSet, decompose_fds, identifiers_of
 from .model import (
@@ -234,14 +234,17 @@ def _sql_name(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
-def sql_views(result: DecomposedSchema) -> str:
+def sql_views(result: DecomposedSchema, tables: Iterable[str] = ()) -> str:
     """One CREATE VIEW projection per fragment (syntactic only).
 
-    A view takes its fragment's name unless a base table or an earlier view
-    has it (SQLite compares names without case); then it takes the first
-    free of ``<name>_view``, ``<name>_view2``, ...  No other view is renamed.
+    ``tables`` names the input schema's base tables; the fragments' source
+    relations are always taken as tables too.  A view takes its fragment's
+    name unless a table or an earlier view has it (SQLite compares names
+    without case); then it takes the first free of ``<name>_view``,
+    ``<name>_view2``, ...  No other view is renamed.
     """
-    created = {f.source_relation.lower() for f in result.fragments}  # tables, then views
+    # Tables, then views.
+    created = {t.lower() for t in tables} | {f.source_relation.lower() for f in result.fragments}
     reserved = created | {f.name.lower() for f in result.fragments}
     lines = []
     for f in result.fragments:

@@ -213,11 +213,15 @@ def preprocess_policy(
 ) -> tuple[Schema, Policy, tuple[str, ...]]:
     """Normalise a policy against a validated schema.
 
-    Singleton forbidden sets are resolved by deleting the attribute from
-    the schema outright: the attribute disappears from every relation,
-    from both sides of every dependency (a dependency whose side empties
-    is dropped) and from every policy set.  Deletions cascade until no
-    singleton forbidden set remains, and each one is reported as a
+    Every attribute of a singleton forbidden set is hidden, in one pass.
+    It leaves every relation (an emptied relation is dropped, an emptied
+    primary key falls back to the remaining attributes, a foreign key loses
+    it and goes once empty or dangling) and every dependency rhs; a
+    dependency whose lhs names it is dropped, since the rest of that lhs
+    determines nothing.  Each forbidden set that names a hidden attribute
+    is dropped: hiding the attribute satisfies it, and nothing forbids the
+    rest of it alone.  A required set loses its hidden attributes, with a
+    warning naming the original set.  Each hidden attribute gets one
     warning.  Duplicate policy sets are removed.  The step is idempotent.
     """
     known = set(schema.attribute_names)
@@ -226,64 +230,50 @@ def preprocess_policy(
             if a not in known:
                 raise SchemaError(f"policy set {list(s)}: unknown attribute {a!r}")
 
-    forbidden = sorted(set(policy.forbidden))
+    hidden = {s[0] for s in policy.forbidden if len(s) == 1}
+    forbidden = tuple(sorted({s for s in policy.forbidden if hidden.isdisjoint(s)}))
     required = sorted(set(policy.required))
-    warnings: list[str] = []
+    if not hidden:
+        return schema, Policy(forbidden, tuple(required)), ()
 
-    while True:
-        singles = [s for s in forbidden if len(s) == 1]
-        if not singles:
-            break
-        victim = singles[0][0]
-        warnings.append(
-            f"attribute {victim!r} removed from the schema: it forms a singleton forbidden set"
-        )
-        schema = _delete_attribute(schema, victim)
-        forbidden = sorted(
-            {tuple(a for a in s if a != victim) for s in forbidden} - {()}
-        )
-        required = sorted(
-            {tuple(a for a in s if a != victim) for s in required} - {()}
-        )
+    def keep(attrs: AttributeSet) -> AttributeSet:
+        return tuple(a for a in attrs if a not in hidden)
 
-    return schema, Policy(tuple(forbidden), tuple(required)), tuple(warnings)
+    warnings = [
+        f"attribute {a!r} removed from the schema: it forms a singleton forbidden set"
+        for a in sorted(hidden)
+    ]
+    for s in required:
+        rest = keep(s)
+        if rest != s:
+            warnings.append(
+                f"required set {{{', '.join(s)}}} names a removed attribute: "
+                + (f"only {{{', '.join(rest)}}} is checked" if rest else "it is dropped")
+            )
+    required = sorted({keep(s) for s in required} - {()})
 
-
-def _delete_attribute(schema: Schema, victim: str) -> Schema:
-    relations = []
-    for rel in schema.relations:
-        attrs = tuple(a for a in rel.attributes if a != victim)
-        if not attrs:
-            continue
-        pk = tuple(a for a in rel.primary_key if a != victim)
-        if not pk:
-            # The deleted attribute was the whole key; fall back to the
-            # remaining attributes as a trivial superkey.
-            pk = attrs
-        fks = tuple(
-            ForeignKey(tuple(a for a in fk.attributes if a != victim), fk.references)
-            for fk in rel.foreign_keys
-        )
-        fks = tuple(fk for fk in fks if fk.attributes)
-        relations.append(Relation(rel.name, attrs, pk, fks))
-    fds = []
-    for dep in schema.fds:
-        lhs = tuple(a for a in dep.lhs if a != victim)
-        rhs = tuple(a for a in dep.rhs if a != victim)
-        if lhs and rhs:
-            fds.append(FunctionalDependency(lhs, rhs, dep.probabilistic))
-    # Re-validate to refresh the interning table and drop dangling references.
-    refs = {rel.name for rel in relations}
+    relations = [rel for rel in schema.relations if keep(rel.attributes)]
+    names = {rel.name for rel in relations}
     relations = [
         Relation(
             rel.name,
-            rel.attributes,
-            rel.primary_key,
-            tuple(fk for fk in rel.foreign_keys if fk.references in refs),
+            keep(rel.attributes),
+            keep(rel.primary_key) or keep(rel.attributes),
+            tuple(
+                ForeignKey(keep(fk.attributes), fk.references)
+                for fk in rel.foreign_keys
+                if keep(fk.attributes) and fk.references in names
+            ),
         )
         for rel in relations
     ]
-    return validate_schema(Schema(tuple(relations), tuple(fds)))
+    fds = [
+        FunctionalDependency(dep.lhs, keep(dep.rhs), dep.probabilistic)
+        for dep in schema.fds
+        if hidden.isdisjoint(dep.lhs) and keep(dep.rhs)
+    ]
+    schema = validate_schema(Schema(tuple(relations), tuple(fds)))
+    return schema, Policy(forbidden, tuple(required)), tuple(warnings)
 
 
 def minimal_sets(sets: Iterable[frozenset]) -> list[frozenset]:

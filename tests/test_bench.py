@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from schemacut import (
@@ -104,6 +106,13 @@ def test_csv_format_and_names():
     assert cells[1] == "I"
     assert cells[2] == "40"
     assert cells[-1] in {"true", "false"}
+
+
+def test_csv_labels_rows_by_grid_position():
+    other = replace(SMALL, seed=SMALL.seed + 1)
+    rows = run_benchmark([SMALL, SMALL, other], ["I"], timeout_s=10.0)
+    labels = [line.split(",")[0] for line in results_to_csv(rows, ["a", "b", "c"]).splitlines()]
+    assert labels[1:] == ["a", "b", "c"]
 
 
 def test_bundled_grids_parse():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sqlite3
 
 import pytest
 
@@ -57,6 +58,30 @@ def test_decompose_writes_sql_and_dot(tmp_path, capsys):
     assert code == 0
     assert sql.read_text().count("CREATE VIEW") == 8
     assert dot.read_text().count("[color=red, style=bold]") == 5
+
+
+def test_decompose_sql_runs_beside_a_table_that_hiding_emptied(tmp_path, capsys):
+    # S1 loses its only attribute, X, yet its base table exists in SQL.
+    doc = {
+        "relations": [
+            {"name": "S", "attributes": ["A", "B", "C"], "primary_key": ["A"]},
+            {"name": "S1", "attributes": ["X"], "primary_key": ["X"]},
+        ],
+        "fds": [{"lhs": ["A"], "rhs": ["B", "C"]}],
+        "policy": {"forbidden": [["X"], ["B", "C"]]},
+    }
+    path, sql = tmp_path / "s.json", tmp_path / "views.sql"
+    path.write_text(json.dumps(doc))
+    code, _, _ = run(capsys, "decompose", str(path), "--out", str(tmp_path / "r.json"),
+                     "--sql", str(sql))
+    assert code == 0
+    db = sqlite3.connect(":memory:")
+    try:
+        db.executescript("CREATE TABLE S (A, B, C); CREATE TABLE S1 (X);" + sql.read_text())
+        views = db.execute("SELECT name FROM sqlite_master WHERE type = 'view' ORDER BY rowid")
+        assert [name for (name,) in views] == ["S1_view", "S2"]
+    finally:
+        db.close()
 
 
 def test_decompose_dot_draws_the_graph_the_cut_was_made_on(tmp_path, capsys):
@@ -325,6 +350,15 @@ def test_check_no_required_sets(tmp_path, capsys):
     code, stdout, _ = run(capsys, "check", str(path))
     assert code == 0
     assert json.loads(stdout)["consistent"] is True
+
+
+def test_check_consistent_without_required_sets_preserves_nothing(tmp_path, capsys):
+    # An empty preservation is not the null of an inconsistent verdict.
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"forbidden": [["a"]]}))
+    code, stdout, _ = run(capsys, "check", str(path))
+    assert code == 0
+    assert json.loads(stdout)["preserved"] == []
 
 
 def test_chains_example1(capsys):

@@ -111,13 +111,39 @@ def test_preprocess_deletes_singleton_attribute():
 
 
 def test_preprocess_cascades():
-    # Removing the singleton attribute shrinks the pair set to a new singleton.
+    # Hiding A drops {A, B}, which hiding A already satisfies; B is not
+    # forbidden alone, so it stays and nothing cascades.
     schema = make_schema([("R", ["A", "B", "C"])])
     policy = make_policy(schema, forbidden=[["A"], ["A", "B"]])
     schema2, policy2, warnings = preprocess_policy(schema, policy)
     assert policy2.forbidden == ()
-    assert schema2.attribute_names == ("C",)
-    assert len(warnings) == 2
+    assert schema2.relation("R").attributes == ("B", "C")
+    assert len(warnings) == 1 and "'A'" in warnings[0]
+
+
+def test_preprocess_drops_dependencies_whose_lhs_is_hidden():
+    # XA -> B says nothing about A alone: hiding X must not leave A -> B.
+    schema = make_schema(
+        [("R", ["X", "A", "B"], ["X", "A"]), ("S", ["A", "C", "Y"], ["A"])],
+        [(["X", "A"], ["B"]), (["A"], ["C", "Y"])],
+    )
+    policy = make_policy(schema, forbidden=[["X"], ["Y"], ["B", "C"], ["B", "Y"]])
+    schema2, policy2, _ = preprocess_policy(schema, policy)
+    assert [str(dep) for dep in schema2.fds] == ["A->C"]
+    assert schema2.relation("R").primary_key == ("A",)
+    assert policy2.forbidden == (("B", "C"),)
+
+
+def test_preprocess_warns_for_a_required_set_naming_a_hidden_attribute():
+    schema = make_schema([("R", ["X", "Y", "Z"])])
+    policy = make_policy(schema, forbidden=[["X"], ["Y"]], required=[["X", "Z"], ["X", "Y"]])
+    schema2, policy2, warnings = preprocess_policy(schema, policy)
+    assert schema2.attribute_names == ("Z",)
+    assert policy2.required == (("Z",),)
+    assert warnings[2:] == (
+        "required set {X, Y} names a removed attribute: it is dropped",
+        "required set {X, Z} names a removed attribute: only {Z} is checked",
+    )
 
 
 def test_preprocess_is_idempotent():

@@ -394,6 +394,50 @@ def test_public_verification_agrees_with_the_pipeline_on_composite_keys():
     assert consistent > 200 and unverified == 0
 
 
+def test_hidden_attribute_invents_no_dependency():
+    # Hiding X drops XA -> B rather than leaving A -> B, so {B, C} is not
+    # associable through A and nothing needs splitting.
+    schema = make_schema(
+        [("R", ["X", "A", "B"], ["X", "A"]), ("S", ["A", "C"], ["A"])],
+        [(["X", "A"], ["B"])],
+    )
+    report = secure_decompose(schema, make_policy(schema, forbidden=[["X"], ["B", "C"]]))
+    assert fragments_by_relation(report.result) == {"R": {("A", "B")}, "S": {("A", "C")}}
+    assert report.result.new_forbidden == ()
+    assert report.security_verified
+
+
+def _singleton_policy_case(rng):
+    """A random schema (some with composite keys), 1-2 singleton forbidden
+    sets, 1-3 forbidden pairs or triples and 0-2 required pairs."""
+    schema = rng.choice([random_schema, composite_key_schema])(rng, max_attrs=10)
+    pool = list(schema.attribute_names)
+    singles = [[a] for a in rng.sample(pool, min(len(pool), rng.randint(1, 2)))]
+    sets = [rng.sample(pool, min(len(pool), rng.randint(2, 3))) for _ in range(rng.randint(1, 3))]
+    required = [rng.sample(pool, min(len(pool), 2)) for _ in range(rng.randint(0, 2))]
+    return schema, make_policy(schema, forbidden=singles + sets, required=required)
+
+
+def test_singleton_forbidden_sets_hide_exactly_their_attributes():
+    # Each singleton-forbidden attribute is hidden, and nothing else; the
+    # report stays secure against the original schema and policy.
+    rng = random.Random(1818)
+    consistent = 0
+    for _ in range(300):
+        schema, policy = _singleton_policy_case(rng)
+        hidden = {s[0] for s in policy.forbidden if len(s) == 1}
+        schema2, policy2, _ = preprocess_policy(schema, policy)
+        assert set(schema.attribute_names) - set(schema2.attribute_names) == hidden
+        assert preprocess_policy(schema2, policy2) == (schema2, policy2, ())
+        report = secure_decompose(schema, policy)
+        if report.consistency.consistent:
+            consistent += 1
+            kept = {a for frag in report.result.fragments for a in frag.attrs}
+            assert kept == set(schema2.attribute_names)
+            assert verify_decomposition(report.result, schema, policy)[0], (schema, policy)
+    assert consistent > 250
+
+
 def test_required_set_flags(example2):
     schema, _ = example2
     policy = make_policy(schema, forbidden=[["A", "D"]], required=[["B", "C"], ["E", "G"]])
