@@ -1,16 +1,16 @@
 """Dependency normalisation, attribute-set closure and identifiers.
 
 The full dependency closure is never materialised (it is exponential).
-Every closure query (attribute closures, identifiers, and verification
-by closure in the pipeline) is one ``closure_masks`` fixpoint.  A re-cut
-asks how one closure reached a set: ``closure_reasons`` records it and
-``derivation`` reads it back.
+Every closure query (attribute closures, identifiers, verification by
+closure and, under no dependencies, containment) is one ``closure_masks``
+fixpoint.  A re-cut asks how one closure reached a set:
+``closure_reasons`` records it and ``derivation`` reads it back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import AttributeSet, FunctionalDependency, attr_set
 
@@ -86,16 +86,22 @@ def closure_masks(
 
 
 def holders(masks: Mapping[str, int], attrs: Iterable[str]) -> int:
-    """Bit ``i`` is set iff the closure of group ``i`` holds every attribute of ``attrs``."""
+    """Bit ``i`` is set iff the closure of group ``i`` holds every attribute
+    of ``attrs`` (all bits, -1, when ``attrs`` is empty)."""
     common = -1
     for attr in attrs:
         common &= masks.get(attr, 0)
     return common
 
 
-def associable(masks: Mapping[str, int], attrs: Iterable[str]) -> bool:
-    """Whether one group's closure holds every attribute of ``attrs``."""
-    return holders(masks, attrs) != 0
+def set_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first; a negative
+    mask has infinitely many and is refused."""
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
 def closure_reasons(
@@ -161,5 +167,4 @@ def identifiers_of(
 ) -> tuple[AttributeSet, ...]:
     """Candidate sets that determine ``attr`` without containing it."""
     others = [cand for cand in sorted(set(candidates)) if attr not in cand]
-    determined = closure_masks(others, fds).get(attr, 0)
-    return tuple(cand for i, cand in enumerate(others) if determined >> i & 1)
+    return tuple(others[i] for i in set_bits(closure_masks(others, fds).get(attr, 0)))

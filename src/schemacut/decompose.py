@@ -5,8 +5,8 @@ the forbidden sets that fit inside the relation, which matches literal
 power-set elimination without materialising the power set.  The module
 also carries the older strong-cut baseline, which additionally severs
 every forbidden attribute from each of its identifiers.  ``held_and_lost``
-alone decides which fragments hold each dependency whole, from one index
-over the fragments and their relations, once per pipeline round.
+alone decides which fragments hold each dependency whole, from membership
+masks of the fragments and their relations, once per pipeline round.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .closure import DecomposedFdSet, decompose_fds, identifiers_of
+from .closure import DecomposedFdSet, closure_masks, decompose_fds, holders, identifiers_of
 from .model import (
     AttributeSet,
     FunctionalDependency,
@@ -22,8 +22,6 @@ from .model import (
     Schema,
     SchemaError,
     attr_set,
-    element_index,
-    holding_all,
     minimal_sets,
 )
 
@@ -75,19 +73,23 @@ def decompose_relation(
     forbidden: Sequence[AttributeSet],
     max_width: int = DEFAULT_MAX_WIDTH,
 ) -> list[Fragment]:
-    """Maximal subsets of the relation containing no forbidden set entirely."""
+    """Maximal subsets of the relation containing no forbidden set entirely.
+
+    ``max_width`` bounds only a relation that must be split: one that holds
+    no forbidden set is returned whole at any width.
+    """
     for f in forbidden:
         if not f:
             raise SchemaError("empty forbidden set")
+    held = set(relation.attributes)
+    elim = minimal_sets(frozenset(f) for f in forbidden if held.issuperset(f))
+    if not elim:
+        return [Fragment(relation.name, relation.attributes, 0)]
     if len(relation.attributes) > max_width:
         raise WidthBoundExceeded(
             f"relation {relation.name!r} has {len(relation.attributes)} attributes, "
             f"bound is {max_width}"
         )
-    held = set(relation.attributes)
-    elim = minimal_sets(frozenset(f) for f in forbidden if held.issuperset(f))
-    if not elim:
-        return [Fragment(relation.name, relation.attributes, 0)]
     survivors = sorted(attr_set(held - h) for h in minimal_hitting_sets(elim))
     return [
         Fragment(relation.name, attrs, i) for i, attrs in enumerate(survivors, start=1)
@@ -99,18 +101,21 @@ def held_and_lost(
 ) -> tuple[tuple[FunctionalDependency, ...], tuple[FunctionalDependency, ...]]:
     """The dependencies of ``dfds`` some fragment holds whole (held), and those
     some relation holds whole but none of its fragments does (lost)."""
-    owners = [frag.source_relation for frag in fragments] + [rel.name for rel in schema.relations]
-    index = element_index(
-        [frag.attrs for frag in fragments] + [rel.attributes for rel in schema.relations]
-    )
-    split = len(fragments)
+    frag_masks = closure_masks([frag.attrs for frag in fragments], ())
+    rel_masks = closure_masks([rel.attributes for rel in schema.relations], ())
+    by_name = closure_masks([(frag.source_relation,) for frag in fragments], ())
+    own = [by_name.get(rel.name, 0) for rel in schema.relations]  # each relation's fragments
     held, lost = [], []
     for dep in dfds:
-        holders = holding_all(index, dep.lhs + dep.rhs)
-        keepers = {owners[i] for i in holders if i < split}
-        if keepers:
+        attrs = dep.lhs + dep.rhs
+        kept = holders(frag_masks, attrs)
+        if kept:
             held.append(dep)
-        if len({owners[i] for i in holders}) > len(keepers):
+        found = holders(rel_masks, attrs)
+        # Skip the relations whose fragments keep it (set_bits inlined: hot loop).
+        while found and kept & own[(found & -found).bit_length() - 1]:
+            found &= found - 1
+        if found:
             lost.append(dep)
     return tuple(held), tuple(lost)
 

@@ -4,7 +4,7 @@ Vertices are attribute sets: every single attribute, every multi-attribute
 dependency left-hand side, and every relation's attribute set.  Edges run
 from each dependency's lhs to each of its rhs attributes, plus one
 containment edge from each vertex to every strictly contained vertex (the
-projection dependencies), looked up in an attribute -> vertices index.
+projection dependencies), read off the vertex sets' membership masks.
 Derived dependencies are *not* materialised, and reachability does not
 carry them all: a composite lhs vertex is entered only by containment,
 never from the parts that determine it, so security is decided by
@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .model import AttributeSet, Schema, element_index, holding_all
+from .closure import closure_masks, holders, set_bits
+from .model import AttributeSet, Schema
 
 EdgeRef = tuple[AttributeSet, AttributeSet]
 """An edge is identified by its (source attrs, destination attrs) pair."""
@@ -119,11 +120,10 @@ def build_fdg(schema: Schema) -> Fdg:
         for attr in dep.rhs:
             if attr not in dep.lhs and dep.lhs in kinds and (attr,) in kinds:
                 refs.setdefault((dep.lhs, (attr,)), PROV_FD)
-    index = element_index(vertex_sets)
-    for small in vertex_sets:
-        for pos in holding_all(index, small):
-            if vertex_sets[pos] != small:
-                refs.setdefault((vertex_sets[pos], small), PROV_CONTAINMENT)
+    masks = closure_masks(vertex_sets, ())
+    for j, small in enumerate(vertex_sets):
+        for pos in set_bits(holders(masks, small) & ~(1 << j)):  # all but itself
+            refs.setdefault((vertex_sets[pos], small), PROV_CONTAINMENT)
 
     edges = tuple(FdgEdge(src, dst, prov) for (src, dst), prov in sorted(refs.items()))
     return Fdg(vertices, edges)

@@ -300,19 +300,14 @@ def minimal_sets(sets: Iterable[frozenset]) -> list[frozenset]:
 def element_index(sets: Iterable[Iterable[Hashable]]) -> dict[Hashable, set[int]]:
     """Per element, the positions of the ``sets`` that hold it.
 
-    Keys come in first-occurrence order.  The graph layer indexes sets by
-    attribute, the cut layer join chains by edge.
+    Keys come in first-occurrence order.  The cut and consistency layers
+    index join chains by edge; attribute containment is ``closure.holders``.
     """
     index: dict[Hashable, set[int]] = {}
     for pos, members in enumerate(sets):
         for element in members:
             index.setdefault(element, set()).add(pos)
     return index
-
-
-def holding_all(index: Mapping[Hashable, set[int]], members: Iterable[Hashable]) -> set[int]:
-    """Positions of the indexed sets that hold every one of ``members`` (non-empty)."""
-    return set.intersection(*[index.get(element) or set() for element in members])
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +388,16 @@ def load_schema_doc(doc: Mapping) -> tuple[Schema, Policy]:
 
 
 def read_json(path: str | Path):
-    """Decode a UTF-8 JSON file; bad UTF-8 or malformed JSON raises ``SchemaError``."""
+    """Decode a UTF-8 JSON file; bad UTF-8, malformed JSON or nesting too deep
+    for the decoder raises ``SchemaError``."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: JSON nested too deeply") from exc
 
 
 def load_schema(path: str | Path) -> tuple[Schema, Policy]:

@@ -44,12 +44,12 @@ from functools import lru_cache
 
 from .closure import (
     DecomposedFdSet,
-    associable,
     closure_masks,
     closure_reasons,
     decompose_fds,
     derivation,
     holders,
+    set_bits,
 )
 from .consistency import ConsistencyResult, check, make_instance
 from .cut import (
@@ -120,8 +120,8 @@ def _verdict(
     forbidden sets still associable among them, and each required set
     flagged with whether it is."""
     masks = closure_masks([frag.attrs for frag in fragments], held)
-    unbroken = [s for s in policy.forbidden if associable(masks, s)]
-    return masks, unbroken, tuple((req, associable(masks, req)) for req in policy.required)
+    unbroken = [s for s in policy.forbidden if holders(masks, s)]
+    return masks, unbroken, tuple((req, bool(holders(masks, req))) for req in policy.required)
 
 
 def _derivation_cut(fragments, held, masks, unbroken, kept) -> tuple[AttributeSet, ...]:
@@ -139,14 +139,12 @@ def _derivation_cut(fragments, held, masks, unbroken, kept) -> tuple[AttributeSe
     def derivations(sets) -> list[frozenset]:
         out = []
         for s in sets:
-            found = holders(masks, s)
-            for i, frag in enumerate(fragments):
-                if found >> i & 1:
-                    if i not in reasons:
-                        reasons[i] = closure_reasons(frag.attrs, held)
-                    seeds, used = derivation(reasons[i], s)
-                    co = {attr_set(dep.lhs + dep.rhs) for dep in used}
-                    out.append(frozenset(co | {seeds} if len(seeds) > 1 else co))
+            for i in set_bits(holders(masks, s)):
+                if i not in reasons:
+                    reasons[i] = closure_reasons(fragments[i].attrs, held)
+                seeds, used = derivation(reasons[i], s)
+                co = {attr_set(dep.lhs + dep.rhs) for dep in used}
+                out.append(frozenset(co | {seeds} if len(seeds) > 1 else co))
         return out
 
     spared = frozenset().union(*derivations(kept))

@@ -223,6 +223,17 @@ def test_input_not_utf8_exits_1(tmp_path, capsys, command):
     assert stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["decompose", "check", "bench"])
+def test_input_nested_too_deeply_exits_1(tmp_path, capsys, command):
+    # The JSON decoder recurses once per level and gives up long before this.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, stdout, stderr = run(capsys, command, str(path))
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"error: {path}: JSON nested too deeply\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

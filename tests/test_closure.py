@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,11 +16,11 @@ from schemacut import (
     identifiers_of,
 )
 from schemacut.closure import (
-    associable,
     closure_masks,
     closure_reasons,
     derivation,
     holders,
+    set_bits,
 )
 
 from .conftest import composite_key_schema, random_fragments
@@ -206,9 +207,9 @@ def test_closure_masks_of_the_union_rule():
     )
     masks = closure_masks([("A",), ("B",), ("B", "C"), ("E",)], dfds)
     assert masks == {"A": 0b0001, "B": 0b0111, "C": 0b0101, "D": 0b0101, "E": 0b1000}
-    assert associable(masks, ("A", "D"))
-    assert not associable(masks, ("B", "E"))
-    assert not associable(masks, ("A", "F"))
+    assert holders(masks, ("A", "D")) == 0b0001
+    assert not holders(masks, ("B", "E"))
+    assert not holders(masks, ("A", "F"))
     assert closure_masks([], dfds) == {}
 
 
@@ -228,6 +229,29 @@ def test_closure_masks_match_the_worklist_closure_of_every_group(rng):
 def test_closure_masks_close_undecomposed_dependencies(fds, groups):
     masks = closure_masks(groups, fds)
     assert groups_holding(masks, len(groups)) == [brute_closure(g, fds) for g in groups]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.sets(st.sampled_from("abcdef")), max_size=8),
+    st.sets(st.sampled_from("abcdefg"), min_size=1, max_size=3),
+)
+def test_holders_matches_a_scan(sets, members):
+    # Under no dependencies the masks are membership: holders answers
+    # which sets contain ``members``, in position order.
+    masks = closure_masks(sets, ())
+    assert list(set_bits(holders(masks, members))) == [
+        i for i, s in enumerate(sets) if members <= s
+    ]
+
+
+def test_set_bits_refuses_a_negative_mask():
+    assert list(set_bits(0)) == []
+    assert list(set_bits(0b101001)) == [0, 3, 5]
+    # Every group holds the empty set: all bits, which no loop can list.
+    assert holders(closure_masks([("A",)], ()), ()) == -1
+    with pytest.raises(ValueError, match="negative mask"):
+        list(set_bits(-1))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import sqlite3
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schemacut import (
     Relation,
@@ -76,6 +79,21 @@ def test_width_bound_refusal():
     wide = Relation("W", attr_set("".join(chr(65 + i) for i in range(25))), ("A",))
     with pytest.raises(WidthBoundExceeded):
         decompose_relation(wide, [V("AB")])
+
+
+def test_width_bound_spares_a_relation_with_nothing_to_split():
+    # W is wider than the bound, but no forbidden set lies inside it.
+    schema = make_schema(
+        [("W", [f"w{i}" for i in range(30)], ["w0"]), ("R", ["A", "B", "C"], ["A"])],
+        [(["A"], ["B"]), (["A"], ["C"])],
+    )
+    policy = make_policy(schema, forbidden=[["B", "C"]])
+    report = secure_decompose(schema, policy)
+    strong = strong_cut_decompose(schema, policy.forbidden)
+    for fragments in (report.result.fragments, strong.fragments):
+        assert [f.name for f in fragments if f.source_relation == "W"] == ["W"]
+        assert len([f for f in fragments if f.source_relation == "R"]) > 1
+    assert report.security_verified
 
 
 def test_fragment_maximality_and_security():
@@ -241,7 +259,7 @@ def run_views(schema, result):
     try:
         for rel in schema.relations:
             db.execute(f"CREATE TABLE {quote(rel.name)} ({', '.join(map(quote, rel.attributes))})")
-        db.executescript(sql_views(result))
+        db.executescript(sql_views(result, [rel.name for rel in schema.relations]))
         views = [
             name for (name,) in
             db.execute("SELECT name FROM sqlite_master WHERE type = 'view' ORDER BY rowid")
@@ -288,3 +306,49 @@ def test_sql_views_quote_and_rename_awkward_names():
     assert views[3] == ("order_view", ("group", 'say "hi"', "x y"))
     text = sql_views(result)
     assert 'CREATE VIEW order_view AS SELECT "group", "say ""hi""", "x y" FROM "order";' in text
+
+
+# Names SQLite must quote (spaces, quotes, keywords, non-ASCII) or reads
+# without case.  None starts with "sqlite_", a prefix SQLite reserves.
+AWKWARD_NAMES = st.one_of(
+    st.sampled_from(["R_1", "order", "Group", "select", "x y", 'say "hi"', "it's", "café", "名前"]),
+    st.text(alphabet="aR_1 \"'é", min_size=1, max_size=4),
+)
+
+
+@st.composite
+def awkward_schemas(draw):
+    """A schema and policy over awkward names.  Each relation ``n`` may come
+    with a relation named like one of its fragments or their renamed views:
+    ``n1`` in either case, ``n1_view``.  Table names, and attribute names,
+    differ ignoring case: SQLite cannot hold two tables (or columns of one
+    table) whose names differ only in case, so such inputs are out of scope.
+    """
+    attrs = draw(st.lists(AWKWARD_NAMES, min_size=2, max_size=6, unique_by=str.lower))
+    names = draw(st.lists(AWKWARD_NAMES, min_size=1, max_size=3, unique_by=str.lower))
+    for base in list(names):
+        twin = draw(st.sampled_from([None, base + "1", (base + "1").swapcase(), base + "1_view"]))
+        if twin is not None and twin.lower() not in {n.lower() for n in names}:
+            names.append(twin)
+    relations, fds = [], []
+    for name in names:
+        members = draw(st.lists(st.sampled_from(attrs), min_size=1, max_size=4, unique=True))
+        relations.append((name, members, members[:1]))
+        fds.extend(([members[0]], [other]) for other in members[1:] if draw(st.booleans()))
+    schema = make_schema(relations, fds)
+    used = st.sampled_from(schema.attribute_names)
+    forbidden = draw(st.lists(st.lists(used, min_size=1, max_size=3, unique=True), max_size=3))
+    return schema, make_policy(schema, forbidden=forbidden)
+
+
+@settings(max_examples=150, deadline=None)
+@given(awkward_schemas())
+def test_sql_views_run_for_any_valid_names(case):
+    schema, policy = case
+    result = secure_decompose(schema, policy).result
+    views = run_views(schema, result)
+    assert [columns for _, columns in views] == [f.attrs for f in result.fragments]
+    created = [rel.name.lower() for rel in schema.relations] + [v.lower() for v, _ in views]
+    assert len(set(created)) == len(created)
+    doc = json.loads(json.dumps(decomposition_to_dict(result)))
+    assert decomposition_from_dict(doc) == result

@@ -16,7 +16,7 @@ from schemacut import (
     preprocess_policy,
     validate_schema,
 )
-from schemacut.model import element_index, holding_all, minimal_sets
+from schemacut.model import minimal_sets
 
 
 def test_example1_interning(example1):
@@ -262,13 +262,3 @@ def all_pairs_minimal(sets):
 @example([frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3}), frozenset({1, 2, 3})])
 def test_minimal_sets_matches_all_pairs_filter(sets):
     assert minimal_sets(sets) == all_pairs_minimal(sets)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.sets(st.sampled_from("abcdef")), max_size=8),
-    st.sets(st.sampled_from("abcdefg"), min_size=1, max_size=3),
-)
-def test_holding_all_matches_a_scan(sets, members):
-    index = element_index(sets)
-    assert holding_all(index, members) == {i for i, s in enumerate(sets) if members <= s}

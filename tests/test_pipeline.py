@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schemacut import (
+    ConsistencyTimeout,
     DecomposedSchema,
     Fragment,
     PathLimits,
@@ -613,6 +614,16 @@ def test_equal_inputs_give_equal_reports(name):
     pipeline._base_graph.cache_clear()
     first = secure_decompose(schema, policy)
     assert secure_decompose(schema, policy) == first
+
+
+@pytest.mark.parametrize("name", fixtures.EXAMPLE_NAMES)
+def test_deadline_stops_the_check_or_changes_nothing(name):
+    # The consistency check reads the deadline at step 0, so a zero budget
+    # stops every example; a generous one gives the unbounded report.
+    schema, policy = fixtures.example_schema(name)
+    with pytest.raises(ConsistencyTimeout):
+        secure_decompose(schema, policy, timeout_s=0)
+    assert secure_decompose(schema, policy, timeout_s=60) == secure_decompose(schema, policy)
 
 
 def test_interleaved_schemas_match_reports_made_without_the_cache(example1, example2):
