@@ -86,6 +86,7 @@ from .consistency import (
 )
 from .pipeline import (
     DecompositionReport,
+    RecutDidNotConverge,
     report_to_dict,
     secure_decompose,
     verify_decomposition,

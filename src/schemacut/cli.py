@@ -31,7 +31,7 @@ from .decompose import DEFAULT_MAX_WIDTH, WidthBoundExceeded, sql_views
 from .fdg import build_fdg, export_dot
 from .joinchain import PathLimits, join_chains
 from .model import SchemaError, attr_set, load_schema, preprocess_policy
-from .pipeline import report_to_dict, secure_decompose
+from .pipeline import RecutDidNotConverge, report_to_dict, secure_decompose
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -241,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConsistencyTimeout:
         return _fail("consistency check timed out")
-    except (SchemaError, WidthBoundExceeded, OSError) as exc:
+    except (SchemaError, WidthBoundExceeded, RecutDidNotConverge, OSError) as exc:
         return _fail(str(exc))
 
 

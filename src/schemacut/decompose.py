@@ -11,6 +11,8 @@ masks of the fragments and their relations, once per pipeline round.
 
 from __future__ import annotations
 
+import re
+import string
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -196,12 +198,20 @@ def decomposition_to_dict(result: DecomposedSchema) -> dict:
 
 
 def decomposition_from_dict(doc: Mapping) -> DecomposedSchema:
+    """Inverse of ``decomposition_to_dict``.  A fragment's name must be its
+    source, or its source followed by a positive integer (ASCII digits, no
+    sign, no leading zero)."""
     fragments = []
-    for entry in doc["fragments"]:
+    for i, entry in enumerate(doc["fragments"]):
         source = entry["source"]
         name = entry["name"]
-        suffix = 0 if name == source else int(name[len(source):])
-        fragments.append(Fragment(source, attr_set(entry["attributes"]), suffix))
+        match = re.fullmatch(re.escape(source) + "([1-9][0-9]*)?", name)
+        if match is None:
+            raise SchemaError(
+                f"fragments[{i}]: name {name!r} is neither {source!r} "
+                f"nor {source!r} followed by a positive integer"
+            )
+        fragments.append(Fragment(source, attr_set(entry["attributes"]), int(match[1] or 0)))
     return DecomposedSchema(
         tuple(fragments),
         tuple(attr_set(s) for s in doc["new_forbidden"]),
@@ -239,25 +249,31 @@ def _sql_name(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
+_ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
+
 def sql_views(result: DecomposedSchema, tables: Iterable[str] = ()) -> str:
     """One CREATE VIEW projection per fragment (syntactic only).
 
     ``tables`` names the input schema's base tables; the fragments' source
     relations are always taken as tables too.  A view takes its fragment's
-    name unless a table or an earlier view has it (SQLite compares names
-    without case); then it takes the first free of ``<name>_view``,
-    ``<name>_view2``, ...  No other view is renamed.
+    name unless a table or an earlier view has it (SQLite compares ASCII
+    letters without case, and no other character); then it takes the first
+    free of ``<name>_view``, ``<name>_view2``, ...  No other view is renamed.
     """
+    def fold(name: str) -> str:
+        return name.translate(_ASCII_LOWER)
+
     # Tables, then views.
-    created = {t.lower() for t in tables} | {f.source_relation.lower() for f in result.fragments}
-    reserved = created | {f.name.lower() for f in result.fragments}
+    created = {fold(t) for t in tables} | {fold(f.source_relation) for f in result.fragments}
+    reserved = created | {fold(f.name) for f in result.fragments}
     lines = []
     for f in result.fragments:
         view, k = f.name, 1
-        while view.lower() in (created if view == f.name else reserved):
+        while fold(view) in (created if view == f.name else reserved):
             view, k = f"{f.name}_view{k if k > 1 else ''}", k + 1
-        created.add(view.lower())
-        reserved.add(view.lower())
+        created.add(fold(view))
+        reserved.add(fold(view))
         columns = ", ".join(map(_sql_name, f.attrs))
         lines.append(
             f"CREATE VIEW {_sql_name(view)} AS SELECT {columns} "

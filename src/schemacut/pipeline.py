@@ -25,10 +25,11 @@ fragments where no join chain does, so an association can survive the
 first round.  The re-cut then forbids co-occurrences of the closure's own
 derivations of it (``_derivation_cut``).  Each lies inside a fragment, so
 every round adds a new set and the loop ends secure, with
-``_MAX_RECUT_ROUNDS`` as a guard.  Required-set survival is decided by the
-same verdict on the final fragments; failures downgrade the report with a
-warning.  A report is a plain value: it carries no timing, so equal inputs
-give equal (``==``) reports.
+``_MAX_RECUT_ROUNDS`` as a guard that raises ``RecutDidNotConverge``.
+Required-set survival is decided by the same verdict on the final
+fragments; failures downgrade the report with a warning.  A report is a
+plain value: it carries no timing, so equal inputs give equal (``==``)
+reports.
 
 Everything the schema alone determines is kept for the last schema seen
 (a one-entry cache keyed by the schema value): its graph, with its edge
@@ -77,6 +78,10 @@ from .model import (
 )
 
 _MAX_RECUT_ROUNDS = 64
+
+
+class RecutDidNotConverge(RuntimeError):
+    """A forbidden set was still associable after ``_MAX_RECUT_ROUNDS`` re-cuts."""
 
 
 @dataclass(frozen=True)
@@ -211,7 +216,10 @@ def secure_decompose(
         if not unbroken:
             break
         if rounds == _MAX_RECUT_ROUNDS:
-            raise RuntimeError("re-cut did not converge")
+            raise RecutDidNotConverge(
+                f"re-cut did not converge in {_MAX_RECUT_ROUNDS} rounds: "
+                + _braced(unbroken) + " still associable"
+            )
         kept = [req for req, ok in required_flags if ok]
         progress = _derivation_cut(fragments, held, masks, unbroken, kept)
         warnings.append(

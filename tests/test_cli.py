@@ -275,11 +275,22 @@ def test_bench_grid_value_not_an_integer_exits_1(tmp_path, capsys):
 
 def test_program_fault_keeps_its_traceback(monkeypatch):
     def broken(*args, **kwargs):
-        raise RuntimeError("re-cut did not converge")
+        raise RuntimeError("unexpected fault")
 
     monkeypatch.setattr("schemacut.cli.secure_decompose", broken)
-    with pytest.raises(RuntimeError, match="re-cut did not converge"):
+    with pytest.raises(RuntimeError, match="unexpected fault"):
         main(["decompose", fixture_file("example0")])
+
+
+def test_exhausted_recut_rounds_exit_1_with_one_error_line(tmp_path, capsys, monkeypatch):
+    # The union-rule schema needs one re-cut round; allow none.
+    monkeypatch.setattr("schemacut.pipeline._MAX_RECUT_ROUNDS", 0)
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(union_rule_doc()))
+    code, stdout, stderr = run(capsys, "decompose", str(path))
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "error: re-cut did not converge in 0 rounds: {A, D} still associable\n"
 
 
 @pytest.mark.parametrize("command", ["decompose", "chains"])

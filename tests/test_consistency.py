@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 import time
 
@@ -321,6 +323,116 @@ def test_forbidden_first_agrees_with_brute_force_on_harder_formulas():
         assert result.consistent == brute_sat(formula)
         if result.consistent:
             assert validate_cut(result.cut.as_set(), instance) == (True, result.preserved)
+
+def _strategy_ii_digest(instance):
+    result = check(instance, "II")
+    doc = [
+        result.consistent,
+        None if result.cut is None else list(result.cut.edges),
+        None if result.preserved is None else [sorted(w) for w in result.preserved],
+    ]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16]
+
+
+# Strategy II's verdict, cut and witnesses on every bundled grid row and
+# instance, recorded while the search still kept its bans incrementally.
+STRATEGY_II_DIGESTS = {
+    "Exp_1": "586a6ec28ee4040f",
+    "Exp_2": "f38f01014a258e9b",
+    "Exp_3": "823d1f05544e3a8f",
+    "Exp_4": "fb3159c5eca2ca94",
+    "Exp_5": "f32c0abac1b223ef",
+    "Exp_6": "4bb5bd2642e65a1b",
+    "Exp_7": "f9bc2cc0494a47ff",
+    "Exp_8": "ec6b2e5d25318aac",
+    "Exp_9": "5467243b0e1c666f",
+    "Exp_10": "1a80c2f13e1bdbf0",
+    "Exp_11": "21a5c80de3258227",
+    "Exp_12": "c74aae5eb6902304",
+    "Exp_13": "9014bff5f2bfb6c1",
+    "Exp_14": "81bb167e098ed709",
+    "Exp_15": "1f8ef91154240f2e",
+    "Exp_16": "3f5847a1242fb357",
+    "Exp_17": "2d14a48ab0ba3331",
+    "Exp_18": "fca26ed724a19fa3",
+    "Exp_19": "fca3f324ecce1ec5",
+    "Exp_20": "99e08e343e463513",
+    "cc1": "46b45a133ce42fa9",
+    "cc2": "ca7019341f85bdda",
+}
+
+
+def test_strategy_ii_golden_cuts_and_witnesses():
+    from schemacut import fixtures
+
+    instances = {f"cc{k}": fixtures.cc_instance(k) for k in (1, 2)}
+    for grid in fixtures.GRID_NAMES:
+        names, rows = fixtures.bench_grid(grid)
+        instances.update(zip(names, map(generate_instance, rows)))
+    digests = {name: _strategy_ii_digest(instance) for name, instance in instances.items()}
+    assert digests == STRATEGY_II_DIGESTS
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_chain_instances())
+@example(reduce_3sat(ThreeSatFormula(2, ((1, 2, 2), (-1, 2, 2), (1, -2, -2), (-1, -2, -2)))))
+@example(make_instance([["a", "b"], ["c", "d"]], [[["a", "c"], ["b", "d"]], [["a", "d"]]]))
+def test_cut_search_counts_and_bans_match_a_recount(instance):
+    # After every move of the walk, the search's counts equal a recount
+    # from its cut, and each node's candidates are those of the MRV chain
+    # under bans = excluded + the one live chain of every family with one.
+    from schemacut import consistency
+
+    search = consistency._CutSearch(instance)
+    families = instance.required_families
+    chains = [chain for family in families for chain in family]
+    pick, unpick, branches = search.pick, search.unpick, search.branches
+
+    def recount():
+        cut = set(search.cut)
+        assert len(cut) == len(search.cut)
+        assert search.hits == [len(chain & cut) for chain in instance.forbidden_chains]
+        assert search.broken == [len(chain & cut) for chain in chains]
+        live = [[chain for chain in family if not chain & cut] for family in families]
+        assert search.live == [len(alive) for alive in live]
+        return cut, live
+
+    def checked_pick(edge):
+        ok = pick(edge)
+        _, live = recount()
+        assert ok == all(live)
+        return ok
+
+    def checked_unpick():
+        edge = unpick()
+        recount()
+        return edge
+
+    def checked_branches(excluded):
+        cut, live = recount()
+        bans = set(excluded).union(*(alive[0] for alive in live if len(alive) == 1))
+        best = None
+        for chain in instance.forbidden_chains:
+            if chain & cut:
+                continue
+            admissible = [e for e in chain if e not in bans]
+            if best is None or len(admissible) < len(best):
+                best = admissible
+        if best:
+            breaks = {e: sum(1 for c in chains if e in c and not c & cut) for e in best}
+            best = sorted(best, key=lambda e: (breaks[e], e))
+        expected = [] if best is None else best or None
+        candidates = branches(excluded)
+        assert candidates == expected
+        return candidates
+
+    search.pick, search.unpick, search.branches = checked_pick, checked_unpick, checked_branches
+    found = consistency._depth_first(search, time.perf_counter(), None)
+    # An empty family fails every pick but not an empty cut; the caller
+    # rules it out before the walk.
+    if found and all(families):
+        assert validate_cut(search.cut, instance)[0]
+
 
 def test_witnesses_are_deterministic():
     from schemacut import fixtures

@@ -3,7 +3,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 import sqlite3
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from schemacut import (
     Relation,
+    SchemaError,
     fixtures,
     make_policy,
     make_schema,
@@ -240,6 +243,20 @@ def test_serialisation_roundtrip(example2):
     assert decomposition_from_dict(doc) == result
 
 
+@pytest.mark.parametrize("name", ["X5", "R0", "R-1", "R01", "R+1", "R1 ", "R\uff11", "RR1"])
+def test_decomposition_from_dict_rejects_names_not_its_source_and_a_number(name):
+    doc = {
+        "fragments": [
+            {"name": "R1", "source": "R", "attributes": ["A"]},
+            {"name": name, "source": "R", "attributes": ["B"]},
+        ],
+        "new_forbidden": [],
+        "lost_fds": [],
+    }
+    with pytest.raises(SchemaError, match=rf"^fragments\[1\]: name {re.escape(repr(name))} "):
+        decomposition_from_dict(doc)
+
+
 def test_sql_views(example0):
     schema, policy = example0
     result = strong_cut_decompose(schema, policy.forbidden)
@@ -308,8 +325,20 @@ def test_sql_views_quote_and_rename_awkward_names():
     assert 'CREATE VIEW order_view AS SELECT "group", "say ""hi""", "x y" FROM "order";' in text
 
 
+def test_sql_views_fold_only_ascii_letters():
+    # SQLite holds a view "É1" beside a table "é1": only the unsplit
+    # relation's view, whose name its own table has, is renamed.
+    schema = make_schema([("É", ["A", "B"], ["A"]), ("é1", ["C"])], [(["A"], ["B"])])
+    result = secure_decompose(schema, make_policy(schema, forbidden=[["A", "B"]])).result
+    assert [f.name for f in result.fragments] == ["É1", "É2", "é1"]
+    views = run_views(schema, result)
+    assert [name for name, _ in views] == ["É1", "É2", "é1_view"]
+
+
 # Names SQLite must quote (spaces, quotes, keywords, non-ASCII) or reads
-# without case.  None starts with "sqlite_", a prefix SQLite reserves.
+# without case (ASCII letters only).  None starts with "sqlite_", a prefix
+# SQLite reserves.
+ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 AWKWARD_NAMES = st.one_of(
     st.sampled_from(["R_1", "order", "Group", "select", "x y", 'say "hi"', "it's", "café", "名前"]),
     st.text(alphabet="aR_1 \"'é", min_size=1, max_size=4),
@@ -348,7 +377,8 @@ def test_sql_views_run_for_any_valid_names(case):
     result = secure_decompose(schema, policy).result
     views = run_views(schema, result)
     assert [columns for _, columns in views] == [f.attrs for f in result.fragments]
-    created = [rel.name.lower() for rel in schema.relations] + [v.lower() for v, _ in views]
-    assert len(set(created)) == len(created)
+    created = [rel.name for rel in schema.relations] + [v for v, _ in views]
+    folded = [name.translate(ASCII_LOWER) for name in created]
+    assert len(set(folded)) == len(folded)
     doc = json.loads(json.dumps(decomposition_to_dict(result)))
     assert decomposition_from_dict(doc) == result

@@ -16,6 +16,7 @@ from schemacut import (
     DecomposedSchema,
     Fragment,
     PathLimits,
+    RecutDidNotConverge,
     Relation,
     Schema,
     decompose_fds,
@@ -499,6 +500,15 @@ def test_recut_restores_security_for_containment_cuts(monkeypatch):
     # One graph per schema: verification and the re-cut are closures over
     # the fragments and build none.
     assert builds == [schema]
+
+
+def test_exhausted_recut_rounds_raise_a_named_error(monkeypatch):
+    # With no round allowed, the association the first cut leaves must be
+    # reported by name, not as a bare RuntimeError.
+    schema, policy = containment_recut_case()
+    monkeypatch.setattr(pipeline, "_MAX_RECUT_ROUNDS", 0)
+    with pytest.raises(RecutDidNotConverge, match=r"^re-cut did not converge in 0 rounds: "):
+        secure_decompose(schema, policy)
 
 
 def test_recut_round_leaves_the_base_graph_cached(monkeypatch):
