@@ -31,7 +31,7 @@ from .decompose import DEFAULT_MAX_WIDTH, WidthBoundExceeded, sql_views
 from .fdg import build_fdg, export_dot
 from .joinchain import PathLimits, join_chains
 from .model import SchemaError, attr_set, load_schema, preprocess_policy
-from .pipeline import RecutDidNotConverge, report_to_dict, secure_decompose
+from .pipeline import RecutDidNotConverge, _base_graph, report_to_dict, secure_decompose
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -101,14 +101,18 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         tables = (rel.name for rel in schema.relations)
         Path(args.sql).write_text(sql_views(report.result, tables), encoding="utf-8")
     # Reverse-delete may drop cut edges; the decomposition forbids only the
-    # co-occurrences in new_forbidden, so show only the edges behind those.
+    # co-occurrences in new_forbidden, so show only the edges behind those,
+    # and every edge of the graph whose co-occurrence a re-cut forbade.
+    # The cut was made on the preprocessed schema's graph, which
+    # secure_decompose has left cached; draw that one.
+    cut_fdg = _base_graph(preprocess_policy(schema, policy)[0])[0]
     forbids = set(report.result.new_forbidden)
     cut_refs = {
         ref for ref in report.consistency.cut or () if attr_set(ref[0] + ref[1]) in forbids
     }
+    recut = forbids - {attr_set(ref[0] + ref[1]) for ref in cut_refs}
+    cut_refs |= {edge.ref for edge in cut_fdg.edges if attr_set(edge.src + edge.dst) in recut}
     if args.dot:
-        # The cut was made on the preprocessed schema's graph; draw that one.
-        cut_fdg = build_fdg(preprocess_policy(schema, policy)[0])
         Path(args.dot).write_text(export_dot(cut_fdg, cut_refs), encoding="utf-8")
 
     fragments = len(report.result.fragments)

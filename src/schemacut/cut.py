@@ -143,12 +143,15 @@ def edges_to_forbidden_sets(cut: CutSet, fdg: Fdg) -> tuple[AttributeSet, ...]:
 
     Order follows the selection; duplicates collapse; supersets of other
     produced sets are kept (they constrain independently).  Each edge is
-    looked up among its destination's parents, the index the chain walks
-    that produced the cut have already built.
+    looked up among its destination's parents in the graph's numbering
+    (``Fdg.parent_edges``), which the chain walks that produced the cut have
+    already built.
     """
+    position, parents = fdg.position, fdg.parent_edges
     out: list[AttributeSet] = []
     for ref in cut:
-        if (ref[0], ref) not in fdg.parents.get(ref[1], ()):
+        src, dst = position.get(ref[0]), position.get(ref[1])
+        if dst is None or all(parent != src for parent, _ in parents[dst]):
             raise ValueError(f"edge {ref!r} is not in the graph")
         merged = attr_set(ref[0] + ref[1])
         if merged not in out:

@@ -4,9 +4,17 @@ Fragments are computed as complements of inclusion-minimal hitting sets of
 the forbidden sets that fit inside the relation, which matches literal
 power-set elimination without materialising the power set.  The module
 also carries the older strong-cut baseline, which additionally severs
-every forbidden attribute from each of its identifiers.  ``held_and_lost``
-alone decides which fragments hold each dependency whole, from membership
-masks of the fragments and their relations, once per pipeline round.
+every forbidden attribute from each of its identifiers.
+
+One function, ``RelationIndex.held_and_lost``, decides which fragments
+hold each dependency whole, once per pipeline round; ``held_and_lost``
+runs it on a fresh index.  The index (``relation_index``) holds what the
+schema alone decides: the relations' membership masks, each relation as
+its one whole fragment, and which relations hold each dependency.
+``pipeline`` keeps it with the schema's graph.  A relation left whole
+holds what it holds and loses nothing, so a round examines only the
+fragments of split relations and the dependencies that name their
+attributes.
 """
 
 from __future__ import annotations
@@ -14,9 +22,16 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .closure import DecomposedFdSet, closure_masks, decompose_fds, holders, identifiers_of
+from .closure import (
+    DecomposedFdSet,
+    closure_masks,
+    decompose_fds,
+    holders,
+    identifiers_of,
+    set_bits,
+)
 from .model import (
     AttributeSet,
     FunctionalDependency,
@@ -24,6 +39,7 @@ from .model import (
     Schema,
     SchemaError,
     attr_set,
+    doc_list,
     minimal_sets,
 )
 
@@ -98,28 +114,103 @@ def decompose_relation(
     ]
 
 
+class RelationIndex(NamedTuple):
+    """What ``schema`` alone decides about its relations and the
+    dependencies of ``dfds`` (``relation_index``).
+
+    Relation ``i`` of ``schema.relations`` is bit ``1 << i`` of ``masks``
+    and ``holding``; dependency ``j`` of ``dfds`` is bit ``1 << j`` of
+    ``readers``.
+    """
+
+    schema: Schema
+    dfds: DecomposedFdSet
+    masks: Mapping[str, int]  # per attribute, the relations holding it
+    whole: tuple[Fragment, ...]  # each relation as its one fragment
+    position: Mapping[str, int]  # per relation name, its bit position
+    holding: tuple[int, ...]  # per dependency, the relations holding it whole
+    readers: Mapping[str, int]  # per attribute, the dependencies naming it
+
+    def held_and_lost(
+        self, fragments: Sequence[Fragment]
+    ) -> tuple[tuple[FunctionalDependency, ...], tuple[FunctionalDependency, ...]]:
+        """``held_and_lost(self.schema, fragments, self.dfds)``.
+
+        A fragment that is its whole relation holds exactly what the
+        relation holds whole, and the relation (unsplit) loses nothing.
+        Every other fragment is examined, and only for the dependencies
+        that name an attribute of an examined fragment or of a split
+        relation; no other dependency can be held by an examined fragment
+        or lost.
+        """
+        unsplit = 0
+        examined: list[AttributeSet] = []
+        own: dict[int, int] = {}  # per relation, the examined fragments it owns
+        for frag in fragments:
+            pos = self.position.get(frag.source_relation)
+            if pos is None:
+                examined.append(frag.attrs)
+            elif frag.attrs == self.whole[pos].attrs:
+                unsplit |= 1 << pos
+            else:
+                own[pos] = own.get(pos, 0) | 1 << len(examined)
+                examined.append(frag.attrs)
+        split = (1 << len(self.whole)) - 1 & ~unsplit
+        touched = set().union(*examined)
+        for pos in set_bits(split):
+            touched.update(self.whole[pos].attrs)
+        candidates = 0
+        for attr in touched:
+            candidates |= self.readers.get(attr, 0)
+
+        fds = self.dfds.fds
+        frag_masks = closure_masks(examined, ())
+        verdict: dict[int, bool] = {}  # per candidate, whether some fragment holds it
+        lost = []
+        for j in set_bits(candidates):
+            kept = holders(frag_masks, fds[j].lhs + fds[j].rhs)
+            verdict[j] = bool(kept or self.holding[j] & unsplit)
+            found = self.holding[j] & split
+            # Skip the relations whose fragments keep it (set_bits inlined: hot loop).
+            while found and kept & own.get((found & -found).bit_length() - 1, 0):
+                found &= found - 1
+            if found:
+                lost.append(fds[j])
+        held = tuple(dep for j, dep in enumerate(fds) if verdict.get(j, self.holding[j]))
+        return held, tuple(lost)
+
+
+def relation_index(schema: Schema, dfds: DecomposedFdSet) -> RelationIndex:
+    """Index ``schema``'s relations and the dependencies of ``dfds``.
+
+    ``pipeline`` keeps the index with the schema's graph, so a schema
+    decomposed under many policies is indexed once.
+    """
+    masks = closure_masks([rel.attributes for rel in schema.relations], ())
+    holding, readers = [], {}
+    for j, dep in enumerate(dfds):
+        attrs = dep.lhs + dep.rhs
+        holding.append(holders(masks, attrs))
+        for attr in attrs:
+            readers[attr] = readers.get(attr, 0) | 1 << j
+    return RelationIndex(
+        schema,
+        dfds,
+        masks,
+        tuple(Fragment(rel.name, rel.attributes, 0) for rel in schema.relations),
+        {rel.name: i for i, rel in enumerate(schema.relations)},
+        tuple(holding),
+        readers,
+    )
+
+
 def held_and_lost(
     schema: Schema, fragments: Sequence[Fragment], dfds: DecomposedFdSet
 ) -> tuple[tuple[FunctionalDependency, ...], tuple[FunctionalDependency, ...]]:
     """The dependencies of ``dfds`` some fragment holds whole (held), and those
-    some relation holds whole but none of its fragments does (lost)."""
-    frag_masks = closure_masks([frag.attrs for frag in fragments], ())
-    rel_masks = closure_masks([rel.attributes for rel in schema.relations], ())
-    by_name = closure_masks([(frag.source_relation,) for frag in fragments], ())
-    own = [by_name.get(rel.name, 0) for rel in schema.relations]  # each relation's fragments
-    held, lost = [], []
-    for dep in dfds:
-        attrs = dep.lhs + dep.rhs
-        kept = holders(frag_masks, attrs)
-        if kept:
-            held.append(dep)
-        found = holders(rel_masks, attrs)
-        # Skip the relations whose fragments keep it (set_bits inlined: hot loop).
-        while found and kept & own[(found & -found).bit_length() - 1]:
-            found &= found - 1
-        if found:
-            lost.append(dep)
-    return tuple(held), tuple(lost)
+    some relation holds whole but none of its fragments does (lost), each in
+    ``dfds`` order (``RelationIndex.held_and_lost`` on a fresh index)."""
+    return relation_index(schema, dfds).held_and_lost(fragments)
 
 
 def strong_cut_decompose(
@@ -198,28 +289,48 @@ def decomposition_to_dict(result: DecomposedSchema) -> dict:
 
 
 def decomposition_from_dict(doc: Mapping) -> DecomposedSchema:
-    """Inverse of ``decomposition_to_dict``.  A fragment's name must be its
-    source, or its source followed by a positive integer (ASCII digits, no
-    sign, no leading zero)."""
+    """Inverse of ``decomposition_to_dict``; keys it does not write are ignored.
+
+    A missing key, or a value of the wrong shape, raises ``SchemaError``
+    naming the entry.  A fragment's name must be its source, or its source
+    followed by a positive integer (ASCII digits, no sign, no leading zero).
+    """
+    _require(doc, ("fragments", "new_forbidden", "lost_fds"), "document")
     fragments = []
-    for i, entry in enumerate(doc["fragments"]):
-        source = entry["source"]
-        name = entry["name"]
+    for i, entry in enumerate(doc_list(doc["fragments"], "fragments")):
+        where = f"fragments[{i}]"
+        _require(entry, ("name", "source", "attributes"), where)
+        for key in ("name", "source"):
+            if not isinstance(entry[key], str):
+                raise SchemaError(f"{where}.{key}: must be a string")
+        source, name = entry["source"], entry["name"]
+        attrs = doc_list(entry["attributes"], f"{where}.attributes", str)
         match = re.fullmatch(re.escape(source) + "([1-9][0-9]*)?", name)
         if match is None:
             raise SchemaError(
-                f"fragments[{i}]: name {name!r} is neither {source!r} "
+                f"{where}: name {name!r} is neither {source!r} "
                 f"nor {source!r} followed by a positive integer"
             )
-        fragments.append(Fragment(source, attr_set(entry["attributes"]), int(match[1] or 0)))
-    return DecomposedSchema(
-        tuple(fragments),
-        tuple(attr_set(s) for s in doc["new_forbidden"]),
-        tuple(
-            FunctionalDependency(attr_set(d["lhs"]), attr_set(d["rhs"]))
-            for d in doc["lost_fds"]
-        ),
+        fragments.append(Fragment(source, attr_set(attrs), int(match[1] or 0)))
+    new_forbidden = tuple(
+        attr_set(doc_list(s, f"new_forbidden[{i}]", str))
+        for i, s in enumerate(doc_list(doc["new_forbidden"], "new_forbidden"))
     )
+    lost = []
+    for i, dep in enumerate(doc_list(doc["lost_fds"], "lost_fds")):
+        where = f"lost_fds[{i}]"
+        _require(dep, ("lhs", "rhs"), where)
+        lhs, rhs = (attr_set(doc_list(dep[k], f"{where}.{k}", str)) for k in ("lhs", "rhs"))
+        lost.append(FunctionalDependency(lhs, rhs))
+    return DecomposedSchema(tuple(fragments), new_forbidden, tuple(lost))
+
+
+def _require(obj, keys: Sequence[str], where: str) -> None:
+    if not isinstance(obj, Mapping):
+        raise SchemaError(f"{where}: must be an object")
+    for key in keys:
+        if key not in obj:
+            raise SchemaError(f"{where}: missing {key!r}")
 
 
 # SQLite's keywords (https://www.sqlite.org/lang_keywords.html): never bare.

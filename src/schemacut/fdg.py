@@ -11,11 +11,14 @@ never from the parts that determine it, so security is decided by
 attribute closure (``closure.closure_masks``), not on this graph.
 
 Each graph indexes its edges once, on first use, as ``Fdg.children`` and
-``Fdg.parents``; every walk over the graph reads them.  ``Fdg.parent_walks``
-memoises ``joinchain``'s ancestor walks, one per (target, limits), so a
-target shared by many policies is walked once per graph.  ``pipeline``
-keeps the last schema's graph between calls, so a schema decomposed under
-many policies is built, indexed and walked once; it builds no other graph.
+``Fdg.parents``, and numbers its vertices and edges once (``Fdg.position``,
+``Fdg.parent_edges``): vertex ``i`` is ``vertices[i]``, so bit order is
+sorted order, and edge ``j`` of ``edges`` is bit ``1 << j`` of a mask.
+``Fdg.parent_walks`` memoises ``joinchain``'s ancestor walks in that
+numbering, one per (target, limits), so a target shared by many policies
+is walked once per graph.  ``pipeline`` keeps the last schema's graph
+between calls, so a schema decomposed under many policies is built,
+indexed and walked once; it builds no other graph.
 """
 
 from __future__ import annotations
@@ -77,8 +80,23 @@ class Fdg:
         return self._index(lambda edge: (edge.dst, edge.src))
 
     @cached_property
+    def position(self) -> Mapping[AttributeSet, int]:
+        """Each vertex's bit position, its index in ``vertices``."""
+        return {v.attrs: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def parent_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """``parents`` by position: per vertex position, its (parent
+        position, edge position) pairs in vertex order."""
+        pos = self.position
+        adj: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
+        for j, edge in enumerate(self.edges):
+            adj[pos[edge.dst]].append((pos[edge.src], j))
+        return tuple(tuple(sorted(pairs)) for pairs in adj)
+
+    @cached_property
     def parent_walks(self) -> dict:
-        """Ancestor walks over ``parents``, keyed by (start vertex, limits).
+        """Ancestor walks over ``parent_edges``, keyed by (start vertex, limits).
 
         Filled by ``joinchain.join_chains``.  A walk depends only on the
         graph, its start and the limits, so every caller shares it.

@@ -6,23 +6,29 @@ enumeration walks each target's parents (one iterative DFS each), combines
 paths per shared end vertex, and discards chains that contain another
 chain.  A target that is itself the ancestor contributes an empty path.
 
+The work is done in the graph's numbering (``Fdg.parent_edges``): a
+walk's ancestors are a vertex mask and, at an ancestor two targets share,
+its paths are edge masks.  Common ancestors are an AND, a candidate chain
+is an OR of paths, and a chain contains another when its mask does.  Only
+the kept chains are turned back into edge refs.
+
 The pipeline enumerates chains on the schema's graph only, for the first
 round's cut; its re-cut rounds follow closure derivations.  Each target's
 walk is taken from the graph's memo (``Fdg.parent_walks``), so policies
 sharing a target over one graph walk it once per limits.  Memoised walks
-are shared, so ``SimplePaths.paths`` is read-only.  Forward walks
+are shared, so ``AncestorWalk.paths`` is read-only.  Forward walks
 (``enumerate_simple_paths``) are not memoised.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
+from .closure import set_bits
 from .fdg import Adjacency, EdgeRef, Fdg
-from .model import AttributeSet, SchemaError, attr_set, minimal_sets
+from .model import AttributeSet, SchemaError, attr_set
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,35 @@ class SimplePaths:
 
 
 @dataclass(frozen=True)
+class AncestorWalk:
+    """A target's ancestor walk in its graph's numbering (``Fdg.parent_edges``).
+
+    ``paths`` maps each ancestor's vertex position to its paths down to the
+    target, each a tuple of edge positions; ``ancestors`` has the bits of
+    its keys.  ``path_masks`` gives one ancestor's paths as edge masks.
+    """
+
+    paths: Mapping[int, tuple[tuple[int, ...], ...]]
+    ancestors: int
+    truncated: bool
+    _masks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def path_masks(self, ancestor: int) -> tuple[int, ...]:
+        """The paths from ``ancestor`` as edge masks (edge ``j`` is bit ``1 << j``).
+
+        Made on first use and kept, so a walk holds masks only for the
+        ancestors that some set shares with another target.  A mask is as
+        wide as the graph has edges, so this memo grows with paths times
+        edges (ROADMAP item 4).
+        """
+        masks = self._masks.get(ancestor)
+        if masks is None:
+            masks = tuple(sum(1 << j for j in path) for path in self.paths[ancestor])
+            masks = self._masks.setdefault(ancestor, masks)
+        return masks
+
+
+@dataclass(frozen=True)
 class JoinChain:
     edges: frozenset[EdgeRef]
     ancestor: AttributeSet
@@ -73,7 +108,9 @@ class ChainFamily:
 def walk_simple_paths(adjacency: Adjacency, start: AttributeSet, limits: PathLimits) -> SimplePaths:
     """All simple paths from ``start`` over ``adjacency``, grouped by end vertex.
 
-    The start maps to the single empty path.  Paths hold the refs stored in
+    ``adjacency`` maps each vertex (an attribute set, or a position as in
+    ``Fdg.parent_edges``) to its (neighbour, ref) pairs.  The start maps to
+    the single empty path.  Paths hold the refs stored in
     ``adjacency`` and are found depth-first, neighbours in adjacency order,
     so the output is deterministic.  ``paths`` is a read-only mapping.
     """
@@ -124,44 +161,76 @@ def join_chains(
     """Enumerate the join chains of an attribute set over ``fdg``.
 
     Every target must exist as a single-attribute vertex.  For each common
-    ancestor, every combination of one simple path per target yields a
-    candidate chain; identical edge sets collapse and chains containing
-    another chain are dropped.  Each target's ancestor walk is memoised on
-    ``fdg``.
+    ancestor, in vertex order, the first ``max_paths_per_target``
+    combinations of one simple path per target yield candidate chains;
+    identical edge sets collapse and chains containing another chain are
+    dropped.  Each target's ancestor walk is memoised on ``fdg``.
     """
     limits = limits or PathLimits()
+    cap = limits.max_paths_per_target
     source_set = attr_set(targets)
-    target_vertices = [(name,) for name in source_set]
-    for tv in target_vertices:
-        if tv not in fdg.parents:
-            raise SchemaError(f"unknown target attribute {tv[0]!r}")
+    for name in source_set:
+        if (name,) not in fdg.position:
+            raise SchemaError(f"unknown target attribute {name!r}")
 
-    per_target = {tv: _ancestor_walk(fdg, tv, limits) for tv in target_vertices}
-    truncated = any(sp.truncated for sp in per_target.values())
+    walks = [_ancestor_walk(fdg, (name,), limits) for name in source_set]
+    truncated = any(walk.truncated for walk in walks)
+    common = -1 if walks else 0
+    for walk in walks:
+        common &= walk.ancestors
 
-    ancestors = sorted(
-        set.intersection(*(set(sp.paths) for sp in per_target.values()))
-    ) if per_target else []
+    found: dict[int, int] = {}  # chain mask -> its first ancestor's position
+    for pos in set_bits(common):
+        # itertools.product's order, one target at a time.  The first cap + 1
+        # combinations extend only the prefixes that the first cap + 1 use,
+        # so no level builds more than cap + len(paths) <= 2 * cap of them.
+        combos = [0]
+        for walk in walks:
+            paths = walk.path_masks(pos)
+            prefixes = combos[: -(-(cap + 1) // len(paths))]
+            combos = [m | p for m in prefixes for p in paths]
+        if len(combos) > cap:
+            truncated = True
+            del combos[cap:]
+        for mask in combos:
+            found.setdefault(mask, pos)
 
-    chains: dict[frozenset[EdgeRef], JoinChain] = {}
-    for ancestor in ancestors:
-        combos = itertools.product(
-            *(per_target[tv].paths[ancestor] for tv in target_vertices)
+    edges, vertices = fdg.edges, fdg.vertices
+    chains = tuple(
+        JoinChain(
+            frozenset([edges[j].ref for j in set_bits(mask)]),
+            vertices[found[mask]].attrs,
+            source_set,
         )
-        for count, combo in enumerate(combos):
-            if count >= limits.max_paths_per_target:
-                truncated = True
+        for mask in minimal_masks(found)
+    )
+    return ChainFamily(source_set, chains, truncated)
+
+
+def minimal_masks(masks: Iterable[int]) -> list[int]:
+    """The distinct masks that strictly contain no other, in first-occurrence
+    order: ``model.minimal_sets`` with each set's elements as bits.
+
+    Masks are visited fewest bits first, each tested only against the
+    masks already kept, so a mask that contains one is never kept.
+    """
+    distinct = list(dict.fromkeys(masks))
+    kept: list[int] = []
+    for s in sorted(distinct, key=int.bit_count):
+        for k in kept:
+            if k & s == k:
                 break
-            edges = frozenset(ref for path in combo for ref in path)
-            if edges not in chains:
-                chains[edges] = JoinChain(edges, ancestor, source_set)
+        else:
+            kept.append(s)
+    if len(kept) == len(distinct):
+        return distinct
+    keep = set(kept)
+    return [s for s in distinct if s in keep]
 
-    kept = tuple(chains[edges] for edges in minimal_sets(chains))
-    return ChainFamily(source_set, kept, truncated)
 
-
-def _ancestor_walk(fdg: Fdg, target: AttributeSet, limits: PathLimits) -> SimplePaths:
-    """``walk_simple_paths`` over ``fdg.parents``, once per (target, limits).
+def _ancestor_walk(fdg: Fdg, target: AttributeSet, limits: PathLimits) -> AncestorWalk:
+    """``walk_simple_paths`` over ``fdg.parent_edges`` as an ``AncestorWalk``,
+    once per (target, limits).
 
     Threads that miss together each walk, and the first walk stored wins;
     the walks are equal, so no lock is needed.
@@ -170,5 +239,9 @@ def _ancestor_walk(fdg: Fdg, target: AttributeSet, limits: PathLimits) -> Simple
     key = (target, limits)
     walk = memo.get(key)
     if walk is None:
-        walk = memo.setdefault(key, walk_simple_paths(fdg.parents, target, limits))
+        found = walk_simple_paths(fdg.parent_edges, fdg.position[target], limits)
+        ancestors = 0
+        for pos in found.paths:
+            ancestors |= 1 << pos
+        walk = memo.setdefault(key, AncestorWalk(found.paths, ancestors, found.truncated))
     return walk

@@ -7,17 +7,20 @@ they are not), drops the cut's redundant edges by reverse-delete (walking
 the selection backwards, an edge goes when every forbidden chain stays
 hit without it; fewer constraints keep more associations), turns the
 remaining cut edges into new forbidden co-occurrences, and decomposes
-every relation.  The report's ``consistency.cut`` is the cut as decided,
+the relations.  The report's ``consistency.cut`` is the cut as decided,
 before reverse-delete; the edges the decomposition forbids are the ones
 whose co-occurrence is in ``new_forbidden``.
 
-Each round then sorts the decomposed dependencies once
-(``decompose.held_and_lost``) into those some fragment holds whole and
-those a relation lost (the report's ``lost_fds``), and *verifies by
-closure*, which no path bound limits and which is the attacker's rule: no
-fragment's attribute closure under the held dependencies may contain a
-forbidden set.  One closure verdict (``_verdict``) decides each round and
-``verify_decomposition`` alike.
+A round's work follows the policy, not the schema (``_split``): only the
+relations that hold some forbidden set are decomposed, and every other
+relation passes through as its whole fragment.  Each round then sorts the
+decomposed dependencies once (``RelationIndex.held_and_lost``, which
+examines only the fragments of split relations) into those some fragment
+holds whole and those a relation lost (the report's ``lost_fds``), and
+*verifies by closure*, which no path bound limits and which is the
+attacker's rule: no fragment's attribute closure under the held
+dependencies may contain a forbidden set.  One closure verdict
+(``_verdict``) decides each round and ``verify_decomposition`` alike.
 
 Verification is load-bearing.  A cut through a composite vertex's
 containment edge only bans the full composite, and a composite lhs joins
@@ -32,10 +35,13 @@ plain value: it carries no timing, so equal inputs give equal (``==``)
 reports.
 
 Everything the schema alone determines is kept for the last schema seen
-(a one-entry cache keyed by the schema value): its graph, with its edge
-index and its memoised ancestor walks, and its decomposed dependencies.
-Decomposing one schema under many policies builds the graph, walks each
-target and decomposes the dependencies once; no other graph is built.
+(``_base_graph``, a one-entry cache keyed by the schema value): its graph,
+with its edge index, its numbering and its memoised ancestor walks, its
+decomposed dependencies, and its relation index
+(``decompose.relation_index``: the relations' membership masks, whole
+fragments and which relations hold each dependency).  Decomposing one
+schema under many policies builds and indexes them once; no other graph
+is built.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .closure import (
-    DecomposedFdSet,
     closure_masks,
     closure_reasons,
     decompose_fds,
@@ -63,9 +68,12 @@ from .cut import (
 from .decompose import (
     DEFAULT_MAX_WIDTH,
     DecomposedSchema,
+    Fragment,
+    RelationIndex,
     decompose_relation,
     decomposition_to_dict,
     held_and_lost,
+    relation_index,
 )
 from .fdg import Fdg, build_fdg
 from .joinchain import PathLimits, join_chains
@@ -94,14 +102,14 @@ class DecompositionReport:
 
 
 @lru_cache(maxsize=1)
-def _base_graph(schema: Schema) -> tuple[Fdg, DecomposedFdSet]:
-    """``build_fdg(schema)`` and ``decompose_fds(schema.fds)``, kept for the
-    last schema seen (one entry).
+def _base_graph(schema: Schema) -> tuple[Fdg, RelationIndex]:
+    """``build_fdg(schema)`` and the ``relation_index`` of the schema and
+    ``decompose_fds(schema.fds)``, kept for the last schema seen (one entry).
 
     Every call on that schema shares both (and the graph's walk memo), so
     none may change them.
     """
-    return build_fdg(schema), decompose_fds(schema.fds)
+    return build_fdg(schema), relation_index(schema, decompose_fds(schema.fds))
 
 
 def verify_decomposition(
@@ -127,6 +135,25 @@ def _verdict(
     masks = closure_masks([frag.attrs for frag in fragments], held)
     unbroken = [s for s in policy.forbidden if holders(masks, s)]
     return masks, unbroken, tuple((req, bool(holders(masks, req))) for req in policy.required)
+
+
+def _split(index: RelationIndex, effective, max_width: int) -> tuple[Fragment, ...]:
+    """Every relation's fragments under the ``effective`` forbidden sets.
+
+    Only the relations some set lies in (``holders`` over the index's
+    membership masks) are decomposed; every other relation passes through
+    as its whole fragment.
+    """
+    split = 0
+    for s in effective:
+        split |= holders(index.masks, s)
+    fragments, done = [], 0
+    for pos in set_bits(split & (1 << len(index.whole)) - 1):
+        fragments += index.whole[done:pos]
+        fragments += decompose_relation(index.schema.relations[pos], effective, max_width)
+        done = pos + 1
+    fragments += index.whole[done:]
+    return tuple(fragments)
 
 
 def _derivation_cut(fragments, held, masks, unbroken, kept) -> tuple[AttributeSet, ...]:
@@ -178,7 +205,7 @@ def secure_decompose(
     schema, policy, warnings = preprocess_policy(schema, policy)
     warnings = list(warnings)
 
-    fdg, dfds = _base_graph(schema)
+    fdg, index = _base_graph(schema)
     forbidden_families = [join_chains(fdg, s, limits) for s in policy.forbidden]
     required_families = [join_chains(fdg, s, limits) for s in policy.required]
     for fam in forbidden_families + required_families:
@@ -207,11 +234,8 @@ def secure_decompose(
     effective = list(policy.forbidden) + [s for s in new_forbidden if s not in policy.forbidden]
 
     for rounds in range(_MAX_RECUT_ROUNDS + 1):
-        fragments = tuple(
-            frag for rel in schema.relations
-            for frag in decompose_relation(rel, effective, max_width)
-        )
-        held, lost = held_and_lost(schema, fragments, dfds)
+        fragments = _split(index, effective, max_width)
+        held, lost = index.held_and_lost(fragments)
         masks, unbroken, required_flags = _verdict(fragments, held, policy)
         if not unbroken:
             break

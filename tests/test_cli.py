@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sqlite3
 
 import pytest
@@ -121,6 +122,27 @@ def test_decompose_dot_shows_only_the_edges_the_decomposition_forbids(tmp_path, 
     assert '  n0 [label="A"];\n  n1 [label="ABCD"];\n  n2 [label="B"];' in text
     red = [line for line in text.splitlines() if "[color=red, style=bold]" in line]
     assert red == ["  n0 -> n2 [color=red, style=bold];", "  n1 -> n2 [color=red, style=bold];"]
+
+
+def red_edges(text):
+    """The (source label, destination label) pairs a DOT drawing shows in red."""
+    labels = dict(re.findall(r'^  (n\d+) \[label="(.*)"\];$', text, re.M))
+    red = re.findall(r"^  (n\d+) -> (n\d+) \[color=red, style=bold\];$", text, re.M)
+    return {(labels[src], labels[dst]) for src, dst in red}
+
+
+def test_decompose_dot_shows_the_edges_a_recut_forbids(tmp_path, capsys):
+    # The union rule's first round cuts nothing: no join chain reaches
+    # {A, D}.  The re-cut forbids {A, B}, which three edges of the graph
+    # span; all three are drawn red and counted.
+    path = tmp_path / "union.json"
+    path.write_text(json.dumps(union_rule_doc()))
+    dot = tmp_path / "graph.dot"
+    code, _, stderr = run(capsys, "decompose", str(path), "--dot", str(dot))
+    assert code == 0
+    assert "surviving associations: {A, B}\n" in stderr
+    assert red_edges(dot.read_text()) == {("A", "B"), ("AB", "A"), ("AB", "B")}
+    assert "cut=3 " in stderr
 
 
 def test_decompose_inconsistent_exits_2(tmp_path, capsys):

@@ -12,6 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schemacut import (
+    DecomposedSchema,
+    Fragment,
+    FunctionalDependency,
     Relation,
     SchemaError,
     fixtures,
@@ -254,6 +257,56 @@ def test_decomposition_from_dict_rejects_names_not_its_source_and_a_number(name)
         "lost_fds": [],
     }
     with pytest.raises(SchemaError, match=rf"^fragments\[1\]: name {re.escape(repr(name))} "):
+        decomposition_from_dict(doc)
+
+
+def loadable_doc() -> dict:
+    return {
+        "fragments": [{"name": "R1", "source": "R", "attributes": ["A", "B"]}],
+        "new_forbidden": [["A", "C"]],
+        "lost_fds": [{"lhs": ["A"], "rhs": ["C"]}],
+    }
+
+
+def test_decomposition_from_dict_reads_a_written_document():
+    assert decomposition_from_dict(loadable_doc()) == DecomposedSchema(
+        (Fragment("R", ("A", "B"), 1),),
+        (("A", "C"),),
+        (FunctionalDependency(("A",), ("C",)),),
+    )
+
+
+def _without(path):
+    doc = loadable_doc()
+    *outer, key = path
+    target = doc
+    for step in outer:
+        target = target[step]
+    del target[key]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (("fragments",), "document: missing 'fragments'"),
+        (("new_forbidden",), "document: missing 'new_forbidden'"),
+        (("lost_fds",), "document: missing 'lost_fds'"),
+        (("fragments", 0, "source"), "fragments[0]: missing 'source'"),
+        (("fragments", 0, "name"), "fragments[0]: missing 'name'"),
+        (("fragments", 0, "attributes"), "fragments[0]: missing 'attributes'"),
+    ],
+)
+def test_decomposition_from_dict_names_a_missing_key(path, message):
+    with pytest.raises(SchemaError, match="^" + re.escape(message) + "$"):
+        decomposition_from_dict(_without(path))
+
+
+def test_decomposition_from_dict_refuses_a_string_of_attributes():
+    # A string is a sequence of names only by accident: "AB" is not A and B.
+    doc = loadable_doc()
+    doc["fragments"][0]["attributes"] = "AB"
+    with pytest.raises(SchemaError, match=r"^fragments\[0\]\.attributes: must be a list of strings$"):
         decomposition_from_dict(doc)
 
 

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schemacut import (
+    ChainFamily,
     Fdg,
     FdgEdge,
+    JoinChain,
     PathLimits,
     SchemaError,
     build_fdg,
@@ -17,9 +22,11 @@ from schemacut import (
     make_schema,
 )
 from schemacut import joinchain
+from schemacut.model import attr_set, minimal_sets
+from schemacut.closure import set_bits
 from schemacut.joinchain import walk_simple_paths
 
-from .conftest import count_walks, fd_chain_schema, random_schema
+from .conftest import composite_key_schema, count_walks, fd_chain_schema, random_schema
 from .goldens import (
     EX1_FB_CHAINS,
     EX2_AD_CHAINS,
@@ -312,18 +319,21 @@ def test_dense_key_cycle_keeps_the_minimal_chains_in_order(monkeypatch):
     # took over 10 s (2-vCPU x86-64 VM).  The candidates are recorded on their way into the
     # filter, and the result is checked against what that filter keeps: an
     # antichain of candidates, in candidate order, below every candidate.
-    candidates = []
-    real_filter = joinchain.minimal_sets
+    # Candidates enter the filter as edge masks; edge j is bit 1 << j.
+    masks = []
+    real_filter = joinchain.minimal_masks
 
-    def recording(sets):
-        candidates.extend(sets)
-        return real_filter(candidates)
+    def recording(found):
+        masks.extend(found)
+        return real_filter(masks)
 
-    monkeypatch.setattr(joinchain, "minimal_sets", recording)
+    monkeypatch.setattr(joinchain, "minimal_masks", recording)
     fdg = build_fdg(dense_key_cycle(7))
     started = time.perf_counter()
     family = join_chains(fdg, ["a0", "a1"], PathLimits(max_paths_per_target=2000))
     assert time.perf_counter() - started < 5.0
+    refs = [edge.ref for edge in fdg.edges]
+    candidates = [frozenset(refs[i] for i in set_bits(mask)) for mask in masks]
     kept = [chain.edges for chain in family.chains]
     position = {edges: i for i, edges in enumerate(candidates)}
     assert len(candidates) > 10_000 and len(position) == len(candidates)
@@ -356,7 +366,11 @@ def test_one_graph_under_two_limits_matches_fresh_graphs(monkeypatch):
         assert _families(shared, sets, limits) == _fresh_families(schema, sets, limits)
     assert all(truncated for _, truncated in _families(shared, sets, tight))
     assert not any(truncated for _, truncated in _families(shared, sets, full))
-    walks = [(start, limits) for graph, start, limits in counted if graph == id(shared.parents)]
+    walks = [
+        (shared.vertices[start].attrs, limits)
+        for graph, start, limits in counted
+        if graph == id(shared.parent_edges)
+    ]
     targets = {(name,) for s in sets for name in s}
     assert len(walks) == len(set(walks)) == 2 * len(targets)
     assert set(shared.parent_walks) == set(walks)
@@ -380,3 +394,97 @@ def test_memoised_walk_paths_are_read_only(ex1_fdg):
     walk = ex1_fdg.parent_walks[(("F",), PathLimits())]
     with pytest.raises(TypeError):
         walk.paths[("F",)] = ()
+
+
+def frozenset_join_chains(fdg, targets, limits=PathLimits()):
+    """Reference: ``join_chains`` before the bit numbering.  Every candidate
+    is a frozenset of edge refs, built from unmemoised walks over
+    ``fdg.parents`` and filtered by ``minimal_sets``."""
+    source_set = attr_set(targets)
+    target_vertices = [(name,) for name in source_set]
+    per_target = {tv: walk_simple_paths(fdg.parents, tv, limits) for tv in target_vertices}
+    truncated = any(sp.truncated for sp in per_target.values())
+    ancestors = sorted(
+        set.intersection(*(set(sp.paths) for sp in per_target.values()))
+    ) if per_target else []
+    chains = {}
+    for ancestor in ancestors:
+        combos = itertools.product(*(per_target[tv].paths[ancestor] for tv in target_vertices))
+        for count, combo in enumerate(combos):
+            if count >= limits.max_paths_per_target:
+                truncated = True
+                break
+            edges = frozenset(ref for path in combo for ref in path)
+            if edges not in chains:
+                chains[edges] = JoinChain(edges, ancestor, source_set)
+    kept = tuple(chains[edges] for edges in minimal_sets(chains))
+    return ChainFamily(source_set, kept, truncated)
+
+
+ALL_LIMITS = (
+    PathLimits(),
+    PathLimits(max_paths_per_target=1),
+    PathLimits(max_paths_per_target=2, max_path_length=2),
+    PathLimits(max_paths_per_target=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(ALL_LIMITS), st.booleans())
+def test_mask_chains_match_the_frozenset_reference(rng, limits, composite):
+    # Chains, their order, ancestors and the truncation flag, under every
+    # limit: a cap of one path per target, of combinations per ancestor,
+    # and of path length.
+    schema = (composite_key_schema if composite else random_schema)(rng)
+    fdg = build_fdg(schema)
+    names = schema.attribute_names
+    for _ in range(4):
+        targets = rng.sample(names, rng.randint(0, min(3, len(names))))
+        assert join_chains(fdg, targets, limits) == frozenset_join_chains(fdg, targets, limits)
+
+
+@pytest.mark.parametrize("limits", [PathLimits(), PathLimits(max_paths_per_target=3)])
+def test_dense_key_cycle_chains_match_the_frozenset_reference(limits):
+    # Many paths per target: under a cap of 3 paths, every ancestor has 9
+    # combinations of two targets, so the per-ancestor cap fires too.
+    fdg = build_fdg(dense_key_cycle(5))
+    for targets in (["a0", "a1"], ["a0", "a2", "a4"], ["k0", "a3"]):
+        got = join_chains(fdg, targets, limits)
+        assert got == frozenset_join_chains(fdg, targets, limits)
+        assert got.truncated == (limits.max_paths_per_target == 3)
+
+
+def test_combination_cap_bounds_the_candidates_built(monkeypatch):
+    # Under a cap of 10, each of three targets keeps 10 of its many paths
+    # from each shared key, so the full product there is 1,000 combinations.
+    # A level extends only the prefixes that the first cap + 1 combinations
+    # use, so it builds at most 2 * cap of them.  The ORs are counted.
+    cap = 10
+    ors = [0]
+
+    class Counted(int):
+        def __ror__(self, other):
+            ors[0] += 1
+            return int(other) | int(self)
+
+    real_masks = joinchain.AncestorWalk.path_masks
+    monkeypatch.setattr(
+        joinchain.AncestorWalk,
+        "path_masks",
+        lambda walk, pos: tuple(map(Counted, real_masks(walk, pos))),
+    )
+    fdg = build_fdg(dense_key_cycle(5))
+    limits = PathLimits(max_paths_per_target=cap)
+    targets = ["a0", "a1", "a2"]
+    family = join_chains(fdg, targets, limits)
+    walks = [fdg.parent_walks[((name,), limits)] for name in targets]
+    common = list(set_bits(walks[0].ancestors & walks[1].ancestors & walks[2].ancestors))
+    full = sum(
+        math.prod(len(walk.paths[pos]) for walk in walks[: k + 1])
+        for pos in common
+        for k in range(len(walks))
+    )
+    bound = len(common) * len(targets) * 2 * cap
+    assert 0 < ors[0] <= bound < full
+    assert family.truncated
+    assert family == frozenset_join_chains(fdg, targets, limits)

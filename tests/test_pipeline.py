@@ -15,6 +15,7 @@ from schemacut import (
     ConsistencyTimeout,
     DecomposedSchema,
     Fragment,
+    FunctionalDependency,
     PathLimits,
     RecutDidNotConverge,
     Relation,
@@ -33,8 +34,15 @@ from schemacut import (
     verify_decomposition,
 )
 from schemacut import fixtures, pipeline
-from schemacut.decompose import held_and_lost
-from schemacut.model import preprocess_policy
+from schemacut.decompose import (
+    RelationIndex,
+    decompose_relation,
+    decomposition_from_dict,
+    decomposition_to_dict,
+    held_and_lost,
+    relation_index,
+)
+from schemacut.model import attr_set, preprocess_policy
 
 from .conftest import (
     composite_key_schema,
@@ -210,6 +218,72 @@ def scanned_lost_dependencies(schema, fragments, dfds):
                 if not kept and dep not in lost:
                     lost.append(dep)
     return tuple(lost)
+
+
+def scanned_round(schema, effective, dfds):
+    """Reference: a round before the relation index.  Every relation is
+    decomposed, and held and lost are the all-pairs scans."""
+    fragments = tuple(frag for rel in schema.relations for frag in decompose_relation(rel, effective))
+    result = DecomposedSchema(fragments, (), ())
+    return fragments, scanned_fragment_fds(result, schema), scanned_lost_dependencies(
+        schema, fragments, dfds
+    )
+
+
+def loaded(fragments):
+    """``fragments`` as read back from a report document."""
+    return decomposition_from_dict(
+        decomposition_to_dict(DecomposedSchema(tuple(fragments), (), ()))
+    ).fragments
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_policy_local_round_matches_decomposing_every_relation(rng, composite):
+    schema = (composite_key_schema if composite else random_schema)(rng)
+    dfds = decompose_fds(schema.fds)
+    effective = list(random_policy(rng, schema).forbidden)
+    fragments = pipeline._split(relation_index(schema, dfds), effective, 24)
+    want_fragments, want_held, want_lost = scanned_round(schema, effective, dfds)
+    assert fragments == want_fragments
+    assert held_and_lost(schema, fragments, dfds) == (want_held, want_lost)
+
+    # Loaded decompositions need not come from a round: a relation's
+    # fragments may be missing, its one fragment may not be all of it, it
+    # may be whole twice, and a fragment may name no relation or span two.
+    victim = rng.choice(schema.relations)
+    names = schema.attribute_names
+    others = [frag for frag in fragments if frag.source_relation != victim.name]
+    variants = [
+        others,
+        others + [Fragment(victim.name, victim.attributes[1:], 1)],
+        others + [Fragment(victim.name, victim.attributes, i) for i in (1, 2)],
+        [*fragments, Fragment("X", attr_set(rng.sample(names, min(3, len(names)))), 1)],
+        [*fragments, Fragment(victim.name, attr_set(victim.attributes + names[:2]), 9)],
+    ]
+    for variant in variants:
+        frags = loaded(variant)
+        result = DecomposedSchema(frags, (), ())
+        assert held_and_lost(schema, frags, dfds) == (
+            scanned_fragment_fds(result, schema),
+            scanned_lost_dependencies(schema, frags, dfds),
+        )
+
+
+def test_loaded_fragments_hold_dependencies_no_relation_holds():
+    # A -> C lies in no relation, so only a fragment that names no relation,
+    # or spans two, holds it: every fragment outside its relation is read.
+    schema = make_schema(
+        [("R", ["A", "B"], ["A"]), ("S", ["B", "C"], ["B"])],
+        [(["A"], ["B"]), (["B"], ["C"]), (["A"], ["C"])],
+    )
+    dfds = decompose_fds(schema.fds)
+    whole = [Fragment("R", V("AB"), 0), Fragment("S", V("BC"), 0)]
+    for extra in (Fragment("X", V("AC"), 1), Fragment("R", V("ABC"), 1)):
+        frags = loaded([*whole, extra])
+        held, lost = held_and_lost(schema, frags, dfds)
+        assert held == scanned_fragment_fds(DecomposedSchema(frags, (), ()), schema)
+        assert FunctionalDependency(V("A"), V("C")) in held and lost == ()
 
 
 def test_fragment_bookkeeping_matches_all_pairs_scans():
@@ -543,12 +617,14 @@ def test_each_round_sorts_the_dependencies_once(monkeypatch, case):
         splits.append(fds)
         return decompose_fds(fds)
 
-    def sort(schema, fragments, dfds):
-        passes.append(held_and_lost(schema, fragments, dfds))
+    real_sort = RelationIndex.held_and_lost
+
+    def sort(index, fragments):
+        passes.append(real_sort(index, fragments))
         return passes[-1]
 
     monkeypatch.setattr(pipeline, "decompose_fds", split)
-    monkeypatch.setattr(pipeline, "held_and_lost", sort)
+    monkeypatch.setattr(RelationIndex, "held_and_lost", sort)
     monkeypatch.setattr(pipeline, "build_fdg", lambda s: builds.append(s) or build_fdg(s))
     pipeline._base_graph.cache_clear()
     report = secure_decompose(schema, policy)
@@ -694,7 +770,7 @@ def test_truncated_report_repeats_on_a_memo_hit(example2, monkeypatch):
     walks = count_walks(monkeypatch)
     again = secure_decompose(schema, policy, PathLimits(max_paths_per_target=1))
     base, _ = pipeline._base_graph(schema)
-    assert id(base.parents) not in {adjacency for adjacency, _, _ in walks}
+    assert id(base.parent_edges) not in {adjacency for adjacency, _, _ in walks}
     pipeline._base_graph.cache_clear()
     fresh = secure_decompose(schema, policy, tight)
     assert again == first == fresh
