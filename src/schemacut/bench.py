@@ -33,7 +33,10 @@ class BenchParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.name != "seed" and getattr(self, f.name) <= 0:
+            value = getattr(self, f.name)
+            if type(value) is not int:
+                raise ValueError(f"{f.name} must be an integer")
+            if f.name != "seed" and value <= 0:
                 raise ValueError(f"{f.name} must be positive")
         if self.edges_per_forbidden_chain > self.fdg_edges:
             raise ValueError("forbidden chain wider than the edge universe")

@@ -173,6 +173,8 @@ def cmd_chains(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     names, grid = load_grid(args.grid)
     strategies = [s for s in args.strategies.split(",") if s]
+    if not strategies:
+        return _fail("--strategies needs at least one strategy")
     for s in strategies:
         if s not in ("I", "II", "auto"):
             return _fail(f"unknown strategy {s!r}")

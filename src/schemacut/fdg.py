@@ -12,13 +12,14 @@ attribute closure (``closure.closure_masks``), not on this graph.
 
 Each graph indexes its edges once, on first use, as ``Fdg.children`` and
 ``Fdg.parents``, and numbers its vertices and edges once (``Fdg.position``,
-``Fdg.parent_edges``): vertex ``i`` is ``vertices[i]``, so bit order is
-sorted order, and edge ``j`` of ``edges`` is bit ``1 << j`` of a mask.
-``Fdg.parent_walks`` memoises ``joinchain``'s ancestor walks in that
-numbering, one per (target, limits), so a target shared by many policies
-is walked once per graph.  ``pipeline`` keeps the last schema's graph
-between calls, so a schema decomposed under many policies is built,
-indexed and walked once; it builds no other graph.
+``Fdg.parent_edges``): vertex ``i`` is ``vertices[i]``, so position order
+is sorted order, and edge ``j`` is ``edges[j]``.  ``Fdg.parent_walks``
+memoises ``joinchain``'s ancestor walks in that numbering, each a
+``joinchain.SimplePaths`` whose paths are tuples of edge positions, one
+per (target, limits), so a target shared by many policies is walked once
+per graph.  ``pipeline`` keeps the last schema's graph between calls, so
+a schema decomposed under many policies is built, indexed and walked
+once; it builds no other graph.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ EdgeRef = tuple[AttributeSet, AttributeSet]
 """An edge is identified by its (source attrs, destination attrs) pair."""
 
 Adjacency = Mapping[AttributeSet, tuple[tuple[AttributeSet, EdgeRef], ...]]
+
+PositionAdjacency = tuple[tuple[tuple[int, int], ...], ...]
+"""``Adjacency`` in a graph's numbering: per vertex position, its
+(neighbour position, edge position) pairs."""
 
 KIND_SINGLE = "single-attribute"
 KIND_LHS = "lhs-set"
@@ -81,11 +86,11 @@ class Fdg:
 
     @cached_property
     def position(self) -> Mapping[AttributeSet, int]:
-        """Each vertex's bit position, its index in ``vertices``."""
+        """Each vertex's position, its index in ``vertices``."""
         return {v.attrs: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def parent_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+    def parent_edges(self) -> PositionAdjacency:
         """``parents`` by position: per vertex position, its (parent
         position, edge position) pairs in vertex order."""
         pos = self.position
@@ -96,7 +101,8 @@ class Fdg:
 
     @cached_property
     def parent_walks(self) -> dict:
-        """Ancestor walks over ``parent_edges``, keyed by (start vertex, limits).
+        """Ancestor walks over ``parent_edges`` (``joinchain.SimplePaths``),
+        keyed by (start vertex, limits).
 
         Filled by ``joinchain.join_chains``.  A walk depends only on the
         graph, its start and the limits, so every caller shares it.

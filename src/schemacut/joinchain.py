@@ -7,28 +7,30 @@ paths per shared end vertex, and discards chains that contain another
 chain.  A target that is itself the ancestor contributes an empty path.
 
 The work is done in the graph's numbering (``Fdg.parent_edges``): a
-walk's ancestors are a vertex mask and, at an ancestor two targets share,
-its paths are edge masks.  Common ancestors are an AND, a candidate chain
-is an OR of paths, and a chain contains another when its mask does.  Only
-the kept chains are turned back into edge refs.
+walk's vertices are positions in ``Fdg.vertices`` and its paths are
+tuples of positions in ``Fdg.edges``.  The common ancestors are the
+intersection of the walks' vertex positions, a candidate chain is the set
+of edge positions on one path per target, and ``model.minimal_sets``
+drops the candidates that contain another.  Only the kept chains are
+turned back into edge refs.
 
 The pipeline enumerates chains on the schema's graph only, for the first
 round's cut; its re-cut rounds follow closure derivations.  Each target's
-walk is taken from the graph's memo (``Fdg.parent_walks``), so policies
-sharing a target over one graph walk it once per limits.  Memoised walks
-are shared, so ``AncestorWalk.paths`` is read-only.  Forward walks
+walk is taken from the graph's memo (``Fdg.parent_walks``), which holds
+``walk_simple_paths``'s ``SimplePaths`` as they are, so policies sharing
+a target over one graph walk it once per limits.  Memoised walks are
+shared, so ``SimplePaths.paths`` is read-only.  Forward walks
 (``enumerate_simple_paths``) are not memoised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .closure import set_bits
-from .fdg import Adjacency, EdgeRef, Fdg
-from .model import AttributeSet, SchemaError, attr_set
+from .fdg import Adjacency, EdgeRef, Fdg, PositionAdjacency
+from .model import AttributeSet, SchemaError, attr_set, minimal_sets
 
 
 @dataclass(frozen=True)
@@ -46,46 +48,24 @@ class PathLimits:
     max_path_length: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_paths_per_target <= 0:
-            raise ValueError("max_paths_per_target must be positive")
-        if self.max_path_length is not None and self.max_path_length <= 0:
-            raise ValueError("max_path_length must be positive")
+        for name, value in vars(self).items():
+            if value is None and name == "max_path_length":
+                continue
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer")
+            if value <= 0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
 class SimplePaths:
-    start: AttributeSet
-    paths: Mapping[AttributeSet, tuple[tuple[EdgeRef, ...], ...]]
+    """A walk's paths by end vertex.  Vertices and path steps are attribute
+    sets and edge refs, or positions in ``Fdg.vertices`` and ``Fdg.edges``
+    for a walk over ``Fdg.parent_edges``."""
+
+    start: AttributeSet | int
+    paths: Mapping[AttributeSet | int, tuple[tuple[EdgeRef | int, ...], ...]]
     truncated: bool
-
-
-@dataclass(frozen=True)
-class AncestorWalk:
-    """A target's ancestor walk in its graph's numbering (``Fdg.parent_edges``).
-
-    ``paths`` maps each ancestor's vertex position to its paths down to the
-    target, each a tuple of edge positions; ``ancestors`` has the bits of
-    its keys.  ``path_masks`` gives one ancestor's paths as edge masks.
-    """
-
-    paths: Mapping[int, tuple[tuple[int, ...], ...]]
-    ancestors: int
-    truncated: bool
-    _masks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def path_masks(self, ancestor: int) -> tuple[int, ...]:
-        """The paths from ``ancestor`` as edge masks (edge ``j`` is bit ``1 << j``).
-
-        Made on first use and kept, so a walk holds masks only for the
-        ancestors that some set shares with another target.  A mask is as
-        wide as the graph has edges, so this memo grows with paths times
-        edges (ROADMAP item 4).
-        """
-        masks = self._masks.get(ancestor)
-        if masks is None:
-            masks = tuple(sum(1 << j for j in path) for path in self.paths[ancestor])
-            masks = self._masks.setdefault(ancestor, masks)
-        return masks
 
 
 @dataclass(frozen=True)
@@ -105,7 +85,9 @@ class ChainFamily:
         return tuple(chain.edges for chain in self.chains)
 
 
-def walk_simple_paths(adjacency: Adjacency, start: AttributeSet, limits: PathLimits) -> SimplePaths:
+def walk_simple_paths(
+    adjacency: Adjacency | PositionAdjacency, start: AttributeSet | int, limits: PathLimits
+) -> SimplePaths:
     """All simple paths from ``start`` over ``adjacency``, grouped by end vertex.
 
     ``adjacency`` maps each vertex (an attribute set, or a position as in
@@ -115,9 +97,9 @@ def walk_simple_paths(adjacency: Adjacency, start: AttributeSet, limits: PathLim
     so the output is deterministic.  ``paths`` is a read-only mapping.
     """
     max_len = limits.max_path_length or max(len(adjacency), 1)
-    paths: dict[AttributeSet, list[tuple[EdgeRef, ...]]] = {start: [()]}
+    paths: dict[AttributeSet | int, list[tuple[EdgeRef | int, ...]]] = {start: [()]}
     truncated = False
-    trail: list[EdgeRef] = []
+    trail: list[EdgeRef | int] = []
     on_trail = {start}
     stack = [(start, iter(adjacency[start]))]
     while stack:
@@ -175,62 +157,40 @@ def join_chains(
 
     walks = [_ancestor_walk(fdg, (name,), limits) for name in source_set]
     truncated = any(walk.truncated for walk in walks)
-    common = -1 if walks else 0
-    for walk in walks:
-        common &= walk.ancestors
+    common = set(walks[0].paths) if walks else set()
+    for walk in walks[1:]:
+        common.intersection_update(walk.paths)
 
-    found: dict[int, int] = {}  # chain mask -> its first ancestor's position
-    for pos in set_bits(common):
+    found: dict[frozenset[int], int] = {}  # chain's edge positions -> its first ancestor
+    for pos in sorted(common):
         # itertools.product's order, one target at a time.  The first cap + 1
         # combinations extend only the prefixes that the first cap + 1 use,
         # so no level builds more than cap + len(paths) <= 2 * cap of them.
-        combos = [0]
+        combos: list[tuple[int, ...]] = [()]
         for walk in walks:
-            paths = walk.path_masks(pos)
+            paths = walk.paths[pos]
             prefixes = combos[: -(-(cap + 1) // len(paths))]
-            combos = [m | p for m in prefixes for p in paths]
+            combos = [c + p for c in prefixes for p in paths]
         if len(combos) > cap:
             truncated = True
             del combos[cap:]
-        for mask in combos:
-            found.setdefault(mask, pos)
+        for combo in combos:
+            found.setdefault(frozenset(combo), pos)
 
     edges, vertices = fdg.edges, fdg.vertices
     chains = tuple(
         JoinChain(
-            frozenset([edges[j].ref for j in set_bits(mask)]),
-            vertices[found[mask]].attrs,
+            frozenset([edges[j].ref for j in chain]),
+            vertices[found[chain]].attrs,
             source_set,
         )
-        for mask in minimal_masks(found)
+        for chain in minimal_sets(found)
     )
     return ChainFamily(source_set, chains, truncated)
 
 
-def minimal_masks(masks: Iterable[int]) -> list[int]:
-    """The distinct masks that strictly contain no other, in first-occurrence
-    order: ``model.minimal_sets`` with each set's elements as bits.
-
-    Masks are visited fewest bits first, each tested only against the
-    masks already kept, so a mask that contains one is never kept.
-    """
-    distinct = list(dict.fromkeys(masks))
-    kept: list[int] = []
-    for s in sorted(distinct, key=int.bit_count):
-        for k in kept:
-            if k & s == k:
-                break
-        else:
-            kept.append(s)
-    if len(kept) == len(distinct):
-        return distinct
-    keep = set(kept)
-    return [s for s in distinct if s in keep]
-
-
-def _ancestor_walk(fdg: Fdg, target: AttributeSet, limits: PathLimits) -> AncestorWalk:
-    """``walk_simple_paths`` over ``fdg.parent_edges`` as an ``AncestorWalk``,
-    once per (target, limits).
+def _ancestor_walk(fdg: Fdg, target: AttributeSet, limits: PathLimits) -> SimplePaths:
+    """``walk_simple_paths`` over ``fdg.parent_edges``, once per (target, limits).
 
     Threads that miss together each walk, and the first walk stored wins;
     the walks are equal, so no lock is needed.
@@ -240,8 +200,5 @@ def _ancestor_walk(fdg: Fdg, target: AttributeSet, limits: PathLimits) -> Ancest
     walk = memo.get(key)
     if walk is None:
         found = walk_simple_paths(fdg.parent_edges, fdg.position[target], limits)
-        ancestors = 0
-        for pos in found.paths:
-            ancestors |= 1 << pos
-        walk = memo.setdefault(key, AncestorWalk(found.paths, ancestors, found.truncated))
+        walk = memo.setdefault(key, found)
     return walk

@@ -57,6 +57,14 @@ def test_param_validation():
         BenchParams(10, 11, 1, 1, 1, 1, 1)
 
 
+@pytest.mark.parametrize("value", [20.0, 2.5, "20", True])
+@pytest.mark.parametrize("field", ["fdg_edges", "seed"])
+def test_params_must_be_integers(field, value):
+    # Refused where they are made, not later inside generate_instance.
+    with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+        BenchParams(**{**SMALL.__dict__, field: value})
+
+
 def test_run_benchmark_rows_and_reproducibility():
     grid = [SMALL, BenchParams(**{**SMALL.__dict__, "seed": 2})]
     first = run_benchmark(grid, ["I", "II"], timeout_s=10.0)

@@ -513,6 +513,15 @@ def test_bench_bad_strategy_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("strategies", ["", ","])
+def test_bench_no_strategy_exits_1(tmp_path, capsys, strategies):
+    path = tmp_path / "grid.json"
+    path.write_text("[]")
+    code, stdout, stderr = run(capsys, "bench", str(path), "--strategies", strategies)
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: --strategies needs at least one strategy\n"
+
+
 def test_export_dot(capsys):
     code, stdout, _ = run(capsys, "export-dot", fixture_file("example1"))
     assert code == 0

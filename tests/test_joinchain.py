@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from schemacut import (
     JoinChain,
     PathLimits,
     SchemaError,
+    SimplePaths,
     build_fdg,
     enumerate_simple_paths,
     join_chains,
@@ -23,7 +25,6 @@ from schemacut import (
 )
 from schemacut import joinchain
 from schemacut.model import attr_set, minimal_sets
-from schemacut.closure import set_bits
 from schemacut.joinchain import walk_simple_paths
 
 from .conftest import composite_key_schema, count_walks, fd_chain_schema, random_schema
@@ -104,6 +105,14 @@ def test_limits_must_be_positive():
         PathLimits(max_paths_per_target=0)
     with pytest.raises(ValueError):
         PathLimits(max_path_length=0)
+
+
+@pytest.mark.parametrize("value", [2.5, 10.0, "10", True])
+@pytest.mark.parametrize("name", ["max_paths_per_target", "max_path_length"])
+def test_limits_must_be_integers(name, value):
+    # Refused where it is made, not later as a slice index inside join_chains.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        PathLimits(**{name: value})
 
 
 def test_example1_chain_family(ex1_fdg):
@@ -319,21 +328,21 @@ def test_dense_key_cycle_keeps_the_minimal_chains_in_order(monkeypatch):
     # took over 10 s (2-vCPU x86-64 VM).  The candidates are recorded on their way into the
     # filter, and the result is checked against what that filter keeps: an
     # antichain of candidates, in candidate order, below every candidate.
-    # Candidates enter the filter as edge masks; edge j is bit 1 << j.
-    masks = []
-    real_filter = joinchain.minimal_masks
+    # Candidates enter the filter as sets of edge positions in fdg.edges.
+    found = []
+    real_filter = joinchain.minimal_sets
 
-    def recording(found):
-        masks.extend(found)
-        return real_filter(masks)
+    def recording(sets):
+        found.extend(sets)
+        return real_filter(found)
 
-    monkeypatch.setattr(joinchain, "minimal_masks", recording)
+    monkeypatch.setattr(joinchain, "minimal_sets", recording)
     fdg = build_fdg(dense_key_cycle(7))
     started = time.perf_counter()
     family = join_chains(fdg, ["a0", "a1"], PathLimits(max_paths_per_target=2000))
     assert time.perf_counter() - started < 5.0
     refs = [edge.ref for edge in fdg.edges]
-    candidates = [frozenset(refs[i] for i in set_bits(mask)) for mask in masks]
+    candidates = [frozenset(refs[i] for i in chain) for chain in found]
     kept = [chain.edges for chain in family.chains]
     position = {edges: i for i, edges in enumerate(candidates)}
     assert len(candidates) > 10_000 and len(position) == len(candidates)
@@ -394,6 +403,44 @@ def test_memoised_walk_paths_are_read_only(ex1_fdg):
     walk = ex1_fdg.parent_walks[(("F",), PathLimits())]
     with pytest.raises(TypeError):
         walk.paths[("F",)] = ()
+
+
+def key_chain_schema(length, padding=0):
+    """Keys k0 -> k1 -> ... each determining its own x_i, after ``padding``
+    unrelated two-attribute relations whose names sort first, so that the
+    padding takes the low edge positions and the chain's edges the high ones."""
+    relations = [(f"P{j:04d}", [f"a{j:04d}", f"b{j:04d}"]) for j in range(padding)]
+    relations += [(f"C{i}", [f"k{i}", f"x{i}"], [f"k{i}"]) for i in range(length)]
+    fds = [([f"k{i}"], [f"x{i}"]) for i in range(length)]
+    fds += [([f"k{i}"], [f"k{i + 1}"]) for i in range(length - 1)]
+    return make_schema(relations, fds)
+
+
+def _retained_bytes(fdg, sets):
+    """Memory that ``join_chains`` leaves behind on a graph already numbered."""
+    assert fdg.parent_edges
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for targets in sets:
+            join_chains(fdg, targets)
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    return sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+
+
+def test_memoised_walks_grow_with_the_paths_not_the_graph():
+    # The same calls on the same chain, alone and behind about 6,000 edges
+    # of padding: what the walk memo keeps must follow the paths' lengths,
+    # not the number of edges in the graph.
+    n = 6
+    sets = [[f"x{i}", f"x{j}"] for i in range(n) for j in range(i + 1, n)]
+    plain = build_fdg(key_chain_schema(n))
+    padded = build_fdg(key_chain_schema(n, padding=3000))
+    assert len(padded.edges) > 6000
+    assert _retained_bytes(padded, sets) <= 2 * _retained_bytes(plain, sets)
+    assert [join_chains(plain, s) for s in sets] == [join_chains(padded, s) for s in sets]
 
 
 def frozenset_join_chains(fdg, targets, limits=PathLimits()):
@@ -458,33 +505,36 @@ def test_combination_cap_bounds_the_candidates_built(monkeypatch):
     # Under a cap of 10, each of three targets keeps 10 of its many paths
     # from each shared key, so the full product there is 1,000 combinations.
     # A level extends only the prefixes that the first cap + 1 combinations
-    # use, so it builds at most 2 * cap of them.  The ORs are counted.
+    # use, so it builds at most 2 * cap of them.  The concatenations of a
+    # prefix and a memoised path are counted.
     cap = 10
-    ors = [0]
+    concats = [0]
 
-    class Counted(int):
-        def __ror__(self, other):
-            ors[0] += 1
-            return int(other) | int(self)
+    class Counted(tuple):
+        def __radd__(self, other):
+            concats[0] += 1
+            return tuple(other) + tuple(self)
 
-    real_masks = joinchain.AncestorWalk.path_masks
-    monkeypatch.setattr(
-        joinchain.AncestorWalk,
-        "path_masks",
-        lambda walk, pos: tuple(map(Counted, real_masks(walk, pos))),
-    )
+    real_walk = joinchain.walk_simple_paths
+
+    def counted_walk(adjacency, start, limits):
+        found = real_walk(adjacency, start, limits)
+        paths = {end: tuple(map(Counted, p)) for end, p in found.paths.items()}
+        return SimplePaths(found.start, paths, found.truncated)
+
+    monkeypatch.setattr(joinchain, "walk_simple_paths", counted_walk)
     fdg = build_fdg(dense_key_cycle(5))
     limits = PathLimits(max_paths_per_target=cap)
     targets = ["a0", "a1", "a2"]
     family = join_chains(fdg, targets, limits)
     walks = [fdg.parent_walks[((name,), limits)] for name in targets]
-    common = list(set_bits(walks[0].ancestors & walks[1].ancestors & walks[2].ancestors))
+    common = sorted(set(walks[0].paths) & set(walks[1].paths) & set(walks[2].paths))
     full = sum(
         math.prod(len(walk.paths[pos]) for walk in walks[: k + 1])
         for pos in common
         for k in range(len(walks))
     )
     bound = len(common) * len(targets) * 2 * cap
-    assert 0 < ors[0] <= bound < full
+    assert 0 < concats[0] <= bound < full
     assert family.truncated
     assert family == frozenset_join_chains(fdg, targets, limits)
