@@ -10,10 +10,12 @@ carry them all: a composite lhs vertex is entered only by containment,
 never from the parts that determine it, so security is decided by
 attribute closure (``closure.closure_masks``), not on this graph.
 
-Each graph indexes its edges once, on first use, as ``Fdg.children`` and
-``Fdg.parents``, and numbers its vertices and edges once (``Fdg.position``,
-``Fdg.parent_edges``): vertex ``i`` is ``vertices[i]``, so position order
-is sorted order, and edge ``j`` is ``edges[j]``.  ``Fdg.parent_walks``
+Each graph has one numbering: vertex ``i`` is ``vertices[i]``, so
+position order is sorted order (``Fdg.position``), and edge ``j`` is
+``edges[j]``.  Its edges are indexed once, on first use, in that
+numbering only, one index per direction: ``Fdg.child_edges`` and
+``Fdg.parent_edges``.  There are no attribute-keyed maps; a caller that
+speaks in attribute sets translates at its boundary.  ``Fdg.parent_walks``
 memoises ``joinchain``'s ancestor walks in that numbering, each a
 ``joinchain.SimplePaths`` whose paths are tuples of edge positions, one
 per (target, limits), so a target shared by many policies is walked once
@@ -34,11 +36,9 @@ from .model import AttributeSet, Schema
 EdgeRef = tuple[AttributeSet, AttributeSet]
 """An edge is identified by its (source attrs, destination attrs) pair."""
 
-Adjacency = Mapping[AttributeSet, tuple[tuple[AttributeSet, EdgeRef], ...]]
-
 PositionAdjacency = tuple[tuple[tuple[int, int], ...], ...]
-"""``Adjacency`` in a graph's numbering: per vertex position, its
-(neighbour position, edge position) pairs."""
+"""An edge index in a graph's numbering: per vertex position, its
+(neighbour position, edge position) pairs in vertex order."""
 
 KIND_SINGLE = "single-attribute"
 KIND_LHS = "lhs-set"
@@ -75,29 +75,19 @@ class Fdg:
     edges: tuple[FdgEdge, ...]
 
     @cached_property
-    def children(self) -> Adjacency:
-        """Per vertex, its (child, edge ref) pairs in vertex order."""
-        return self._index(lambda edge: (edge.src, edge.dst))
-
-    @cached_property
-    def parents(self) -> Adjacency:
-        """Per vertex, its (parent, edge ref) pairs in vertex order."""
-        return self._index(lambda edge: (edge.dst, edge.src))
-
-    @cached_property
     def position(self) -> Mapping[AttributeSet, int]:
         """Each vertex's position, its index in ``vertices``."""
         return {v.attrs: i for i, v in enumerate(self.vertices)}
 
     @cached_property
+    def child_edges(self) -> PositionAdjacency:
+        """Per vertex position, its (child position, edge position) pairs."""
+        return self._index(lambda edge: (edge.src, edge.dst))
+
+    @cached_property
     def parent_edges(self) -> PositionAdjacency:
-        """``parents`` by position: per vertex position, its (parent
-        position, edge position) pairs in vertex order."""
-        pos = self.position
-        adj: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
-        for j, edge in enumerate(self.edges):
-            adj[pos[edge.dst]].append((pos[edge.src], j))
-        return tuple(tuple(sorted(pairs)) for pairs in adj)
+        """Per vertex position, its (parent position, edge position) pairs."""
+        return self._index(lambda edge: (edge.dst, edge.src))
 
     @cached_property
     def parent_walks(self) -> dict:
@@ -109,12 +99,13 @@ class Fdg:
         """
         return {}
 
-    def _index(self, ends) -> Adjacency:
-        adj: dict[AttributeSet, list] = {v.attrs: [] for v in self.vertices}
-        for edge in self.edges:
+    def _index(self, ends) -> PositionAdjacency:
+        pos = self.position
+        adj: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
+        for j, edge in enumerate(self.edges):
             here, there = ends(edge)
-            adj[here].append((there, edge.ref))
-        return {v: tuple(sorted(pairs)) for v, pairs in adj.items()}
+            adj[pos[here]].append((pos[there], j))
+        return tuple(tuple(sorted(pairs)) for pairs in adj)
 
 
 def build_fdg(schema: Schema) -> Fdg:
@@ -153,8 +144,8 @@ def build_fdg(schema: Schema) -> Fdg:
     return Fdg(vertices, edges)
 
 
-def reachable(adjacency: Adjacency, start: AttributeSet) -> set[AttributeSet]:
-    """Vertices reachable from ``start`` over ``adjacency``, ``start`` included."""
+def reachable(adjacency: PositionAdjacency, start: int) -> set[int]:
+    """Vertex positions reachable from ``start`` over ``adjacency``, ``start`` included."""
     seen = {start}
     stack = [start]
     while stack:
@@ -167,8 +158,10 @@ def reachable(adjacency: Adjacency, start: AttributeSet) -> set[AttributeSet]:
 
 def transitive_closure_pairs(fdg: Fdg) -> frozenset[tuple[AttributeSet, AttributeSet]]:
     """All ordered (src, dst) vertex pairs with dst reachable from src, src != dst."""
-    adj = fdg.children
-    return frozenset((start, end) for start in adj for end in reachable(adj, start) if end != start)
+    adj, sets = fdg.child_edges, [v.attrs for v in fdg.vertices]
+    return frozenset(
+        (sets[i], sets[j]) for i in range(len(sets)) for j in reachable(adj, i) if j != i
+    )
 
 
 def export_dot(fdg: Fdg, highlight: Iterable[EdgeRef] | None = None) -> str:
@@ -180,14 +173,13 @@ def export_dot(fdg: Fdg, highlight: Iterable[EdgeRef] | None = None) -> str:
     Edges in ``highlight`` are drawn bold and red.
     """
     hot = set(highlight or ())
-    node: dict[AttributeSet, str] = {}
+    pos = fdg.position
     lines = ["digraph fdg {"]
     for i, v in enumerate(fdg.vertices):
-        node[v.attrs] = f"n{i}"
         label = v.label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{label}"];')
     for edge in fdg.edges:
         style = " [color=red, style=bold]" if edge.ref in hot else ""
-        lines.append(f"  {node[edge.src]} -> {node[edge.dst]}{style};")
+        lines.append(f"  n{pos[edge.src]} -> n{pos[edge.dst]}{style};")
     lines.append("}")
     return "\n".join(lines) + "\n"

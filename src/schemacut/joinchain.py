@@ -6,11 +6,11 @@ enumeration walks each target's parents (one iterative DFS each), combines
 paths per shared end vertex, and discards chains that contain another
 chain.  A target that is itself the ancestor contributes an empty path.
 
-The work is done in the graph's numbering (``Fdg.parent_edges``): a
-walk's vertices are positions in ``Fdg.vertices`` and its paths are
-tuples of positions in ``Fdg.edges``.  The common ancestors are the
-intersection of the walks' vertex positions, a candidate chain is the set
-of edge positions on one path per target, and ``model.minimal_sets``
+Every walk runs in the graph's numbering (``Fdg.parent_edges`` or
+``Fdg.child_edges``): its vertices are positions in ``Fdg.vertices`` and
+its paths tuples of positions in ``Fdg.edges``.  The common ancestors are
+the intersection of the walks' vertex positions, a candidate chain is the
+set of edge positions on one path per target, and ``model.minimal_sets``
 drops the candidates that contain another.  Only the kept chains are
 turned back into edge refs.
 
@@ -20,7 +20,8 @@ walk is taken from the graph's memo (``Fdg.parent_walks``), which holds
 ``walk_simple_paths``'s ``SimplePaths`` as they are, so policies sharing
 a target over one graph walk it once per limits.  Memoised walks are
 shared, so ``SimplePaths.paths`` is read-only.  Forward walks
-(``enumerate_simple_paths``) are not memoised.
+(``enumerate_simple_paths``) are not memoised; they are the one place
+that translates a walk back to attribute sets and edge refs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .fdg import Adjacency, EdgeRef, Fdg, PositionAdjacency
+from .fdg import EdgeRef, Fdg, PositionAdjacency
 from .model import AttributeSet, SchemaError, attr_set, minimal_sets
 
 
@@ -59,9 +60,9 @@ class PathLimits:
 
 @dataclass(frozen=True)
 class SimplePaths:
-    """A walk's paths by end vertex.  Vertices and path steps are attribute
-    sets and edge refs, or positions in ``Fdg.vertices`` and ``Fdg.edges``
-    for a walk over ``Fdg.parent_edges``."""
+    """A walk's paths by end vertex.  A walk over an edge index has vertex
+    positions in ``Fdg.vertices`` and path steps positions in ``Fdg.edges``;
+    ``enumerate_simple_paths`` returns attribute sets and edge refs."""
 
     start: AttributeSet | int
     paths: Mapping[AttributeSet | int, tuple[tuple[EdgeRef | int, ...], ...]]
@@ -85,21 +86,18 @@ class ChainFamily:
         return tuple(chain.edges for chain in self.chains)
 
 
-def walk_simple_paths(
-    adjacency: Adjacency | PositionAdjacency, start: AttributeSet | int, limits: PathLimits
-) -> SimplePaths:
-    """All simple paths from ``start`` over ``adjacency``, grouped by end vertex.
+def walk_simple_paths(adjacency: PositionAdjacency, start: int, limits: PathLimits) -> SimplePaths:
+    """All simple paths from position ``start`` over ``adjacency``, by end position.
 
-    ``adjacency`` maps each vertex (an attribute set, or a position as in
-    ``Fdg.parent_edges``) to its (neighbour, ref) pairs.  The start maps to
-    the single empty path.  Paths hold the refs stored in
-    ``adjacency`` and are found depth-first, neighbours in adjacency order,
-    so the output is deterministic.  ``paths`` is a read-only mapping.
+    ``adjacency`` is an edge index (``Fdg.parent_edges`` or ``Fdg.child_edges``).
+    The start maps to the single empty path.  Paths are tuples of edge
+    positions, found depth-first, neighbours in adjacency order, so the
+    output is deterministic.  ``paths`` is a read-only mapping.
     """
     max_len = limits.max_path_length or max(len(adjacency), 1)
-    paths: dict[AttributeSet | int, list[tuple[EdgeRef | int, ...]]] = {start: [()]}
+    paths: dict[int, list[tuple[int, ...]]] = {start: [()]}
     truncated = False
-    trail: list[EdgeRef | int] = []
+    trail: list[int] = []
     on_trail = {start}
     stack = [(start, iter(adjacency[start]))]
     while stack:
@@ -131,10 +129,16 @@ def walk_simple_paths(
 def enumerate_simple_paths(
     fdg: Fdg, start: AttributeSet, limits: PathLimits | None = None
 ) -> SimplePaths:
-    """All simple paths from ``start`` along the edges, grouped by end vertex."""
-    if start not in fdg.children:
+    """All simple paths from ``start`` along the edges, grouped by end vertex:
+    the walk over ``fdg.child_edges``, read back as attribute sets and edge refs."""
+    if start not in fdg.position:
         raise SchemaError(f"unknown vertex {''.join(start)!r}")
-    return walk_simple_paths(fdg.children, start, limits or PathLimits())
+    walk = walk_simple_paths(fdg.child_edges, fdg.position[start], limits or PathLimits())
+    paths = {
+        fdg.vertices[end].attrs: tuple(tuple(fdg.edges[j].ref for j in path) for path in found)
+        for end, found in walk.paths.items()
+    }
+    return SimplePaths(start, MappingProxyType(paths), walk.truncated)
 
 
 def join_chains(

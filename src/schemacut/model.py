@@ -123,20 +123,26 @@ def make_policy(
     forbidden: Sequence[Iterable[str]] = (),
     required: Sequence[Iterable[str]] = (),
 ) -> Policy:
-    """Canonicalise policy sets and check every attribute exists."""
-    known = set(schema.attribute_names)
+    """Canonicalise policy sets and check them as ``preprocess_policy`` does."""
 
-    def canon(groups: Sequence[Iterable[str]], label: str) -> tuple[AttributeSet, ...]:
-        sets = []
-        for group in groups:
-            s = attr_set(group)
+    def canon(groups: Sequence[Iterable[str]]) -> tuple[AttributeSet, ...]:
+        return tuple(sorted({attr_set(group) for group in groups}))
+
+    policy = Policy(forbidden=canon(forbidden), required=canon(required))
+    _check_policy(schema, policy)
+    return policy
+
+
+def _check_policy(schema: Schema, policy: Policy) -> None:
+    """Refuse an empty policy set, or one naming an attribute not in ``schema``."""
+    known = set(schema.attribute_names)
+    for label, sets in (("forbidden", policy.forbidden), ("required", policy.required)):
+        for s in sets:
+            if not s:
+                raise SchemaError(f"{label} set is empty")
             unknown = [a for a in s if a not in known]
             if unknown:
                 raise SchemaError(f"{label} set {list(s)}: unknown attribute {unknown[0]!r}")
-            sets.append(s)
-        return tuple(sorted(set(sets)))
-
-    return Policy(forbidden=canon(forbidden, "forbidden"), required=canon(required, "required"))
 
 
 def validate_schema(raw: Schema) -> Schema:
@@ -223,12 +229,9 @@ def preprocess_policy(
     rest of it alone.  A required set loses its hidden attributes, with a
     warning naming the original set.  Each hidden attribute gets one
     warning.  Duplicate policy sets are removed.  The step is idempotent.
+    A policy built directly is checked as ``make_policy`` checks it.
     """
-    known = set(schema.attribute_names)
-    for s in policy.forbidden + policy.required:
-        for a in s:
-            if a not in known:
-                raise SchemaError(f"policy set {list(s)}: unknown attribute {a!r}")
+    _check_policy(schema, policy)
 
     hidden = {s[0] for s in policy.forbidden if len(s) == 1}
     forbidden = tuple(sorted({s for s in policy.forbidden if hidden.isdisjoint(s)}))

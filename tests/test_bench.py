@@ -55,6 +55,8 @@ def test_param_validation():
         BenchParams(10, 0, 1, 1, 1, 1, 1)
     with pytest.raises(ValueError):
         BenchParams(10, 11, 1, 1, 1, 1, 1)
+    with pytest.raises(ValueError, match="^required chain wider than the edge universe$"):
+        BenchParams(10, 1, 1, 1, 1, 11, 1)
 
 
 @pytest.mark.parametrize("value", [20.0, 2.5, "20", True])
@@ -132,6 +134,8 @@ def test_bundled_grids_parse():
 
 
 def test_grid_doc_validation():
+    with pytest.raises(SchemaError, match="^grid document must be a list$"):
+        load_grid_doc({"fdg_edges": 10})
     with pytest.raises(Exception, match="missing"):
         load_grid_doc([{"fdg_edges": 10}])
     with pytest.raises(Exception, match="unknown key"):

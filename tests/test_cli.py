@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import sqlite3
@@ -234,6 +235,22 @@ def test_decompose_badly_shaped_schema_exits_1(tmp_path, capsys, doc, message):
     assert stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("label", ["forbidden", "required"])
+def test_decompose_empty_policy_set_exits_1(tmp_path, capsys, label):
+    doc = {
+        "relations": [{"name": "R", "attributes": ["A", "B", "C"], "primary_key": ["A"]}],
+        "fds": [{"lhs": ["A"], "rhs": ["B"]}],
+        "policy": {"forbidden": [["A", "B"]], "required": []},
+    }
+    doc["policy"][label].append([])
+    path = tmp_path / "empty_set.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "decompose", str(path))
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"error: {label} set is empty\n"
+
+
 @pytest.mark.parametrize("command", ["decompose", "check"])
 def test_input_not_utf8_exits_1(tmp_path, capsys, command):
     path = tmp_path / "latin.json"
@@ -302,6 +319,35 @@ def test_program_fault_keeps_its_traceback(monkeypatch):
     monkeypatch.setattr("schemacut.cli.secure_decompose", broken)
     with pytest.raises(RuntimeError, match="unexpected fault"):
         main(["decompose", fixture_file("example0")])
+
+
+@pytest.mark.parametrize(
+    "secure, required, code",
+    [
+        (True, (), 0),
+        (True, (True, True), 0),
+        (True, (True, False), 3),
+        (False, (), 3),
+        (False, (True,), 3),
+        (False, (False,), 3),
+    ],
+)
+def test_verification_flags_set_the_exit_code(capsys, monkeypatch, example0, secure, required, code):
+    # example0's real report with its verification flags replaced: the exit
+    # code and the summary follow the flags, whatever the pipeline found.
+    schema, policy = example0
+    real = secure_decompose(schema, policy)
+    sets = (("A", "D"), ("B", "D"), ("C", "D"))
+    report = dataclasses.replace(
+        real,
+        security_verified=secure,
+        required_verified=tuple(zip(sets, required)),
+    )
+    monkeypatch.setattr("schemacut.cli.secure_decompose", lambda *args, **kwargs: report)
+    got, _, stderr = run(capsys, "decompose", fixture_file("example0"))
+    assert got == code
+    summary = f"secure={str(secure).lower()} required_ok={str(all(required)).lower()}"
+    assert re.search(rf"^fragments=\d+ cut=\d+ {summary}$", stderr, re.M)
 
 
 def test_exhausted_recut_rounds_exit_1_with_one_error_line(tmp_path, capsys, monkeypatch):
@@ -446,6 +492,22 @@ def test_chains_single_attribute_warns(capsys):
     assert code == 0
     assert "trivially associable" in stderr
     assert json.loads(stdout)["chains"] == [{"ancestor": "B", "edges": []}]
+
+
+def test_chains_empty_set_exits_1(capsys):
+    code, stdout, stderr = run(capsys, "chains", fixture_file("example1"), "--set", ",")
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "error: --set needs at least one attribute\n"
+
+
+def test_chains_truncated_by_limits_warns(capsys):
+    code, stdout, stderr = run(
+        capsys, "chains", fixture_file("example1"), "--set", "F,B", "--max-paths", "1"
+    )
+    assert code == 0
+    assert stderr == "warning: enumeration truncated by limits\n"
+    assert json.loads(stdout)["truncated"] is True
 
 
 def test_chains_unknown_attribute_exits_1(capsys):

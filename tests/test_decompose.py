@@ -302,6 +302,26 @@ def test_decomposition_from_dict_names_a_missing_key(path, message):
         decomposition_from_dict(_without(path))
 
 
+def _with_fragment(**fields):
+    doc = loadable_doc()
+    doc["fragments"][0].update(fields)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_with_fragment(name=7), "fragments[0].name: must be a string"),
+        (_with_fragment(source=None), "fragments[0].source: must be a string"),
+        ([loadable_doc()], "document: must be an object"),
+    ],
+    ids=["name-a-number", "source-null", "document-a-list"],
+)
+def test_decomposition_from_dict_refuses_a_value_of_the_wrong_type(doc, message):
+    with pytest.raises(SchemaError, match="^" + re.escape(message) + "$"):
+        decomposition_from_dict(doc)
+
+
 def test_decomposition_from_dict_refuses_a_string_of_attributes():
     # A string is a sequence of names only by accident: "AB" is not A and B.
     doc = loadable_doc()

@@ -13,7 +13,7 @@ from schemacut import (
 )
 from schemacut.fdg import PROV_CONTAINMENT
 
-from .conftest import random_schema
+from .conftest import composite_key_schema, random_schema
 from .goldens import EX1_EDGES, EX1_FB_CHAINS, EX1_VERTICES, EX2_EDGE_LABELS, V
 
 
@@ -79,23 +79,27 @@ def test_build_is_deterministic(example2):
 
 def test_adjacency_index_lists_every_edge_in_vertex_order(ex1_fdg, ex2_fdg):
     for fdg in (ex1_fdg, ex2_fdg):
-        vertices = {v.attrs for v in fdg.vertices}
-        assert set(fdg.children) == set(fdg.parents) == vertices
-        by_child = sorted(ref for pairs in fdg.children.values() for _, ref in pairs)
-        by_parent = sorted(ref for pairs in fdg.parents.values() for _, ref in pairs)
-        assert by_child == by_parent == sorted(e.ref for e in fdg.edges)
-        for v in vertices:
-            assert all(ref == (v, child) for child, ref in fdg.children[v])
-            assert all(ref == (parent, v) for parent, ref in fdg.parents[v])
-            assert [c for c, _ in fdg.children[v]] == sorted(c for c, _ in fdg.children[v])
-            assert [p for p, _ in fdg.parents[v]] == sorted(p for p, _ in fdg.parents[v])
+        n = len(fdg.vertices)
+        assert len(fdg.child_edges) == len(fdg.parent_edges) == n
+        by_child = sorted(j for pairs in fdg.child_edges for _, j in pairs)
+        by_parent = sorted(j for pairs in fdg.parent_edges for _, j in pairs)
+        assert by_child == by_parent == list(range(len(fdg.edges)))
+        for v in range(n):
+            attrs = fdg.vertices[v].attrs
+            for child, j in fdg.child_edges[v]:
+                assert fdg.edges[j].ref == (attrs, fdg.vertices[child].attrs)
+            for parent, j in fdg.parent_edges[v]:
+                assert fdg.edges[j].ref == (fdg.vertices[parent].attrs, attrs)
+            children = [c for c, _ in fdg.child_edges[v]]
+            parents = [p for p, _ in fdg.parent_edges[v]]
+            assert children == sorted(children) and parents == sorted(parents)
 
 
 def test_adjacency_index_is_built_once_and_leaves_equality_alone(example2):
     schema, _ = example2
     indexed, plain = build_fdg(schema), build_fdg(schema)
-    assert indexed.children is indexed.children
-    assert indexed.parents is indexed.parents
+    assert indexed.child_edges is indexed.child_edges
+    assert indexed.parent_edges is indexed.parent_edges
     assert indexed == plain
     assert hash(indexed) == hash(plain)
 
@@ -109,6 +113,31 @@ def test_closure_pairs_example1(ex1_fdg):
 def test_closure_pairs_empty_graph():
     fdg = build_fdg(make_schema([], []))
     assert transitive_closure_pairs(fdg) == frozenset()
+
+
+def naive_closure_pairs(fdg):
+    """Reference: grow each vertex's reachable set over ``fdg.edges`` until
+    no edge adds to it, with no index."""
+    pairs = set()
+    for vertex in fdg.vertices:
+        reached = {vertex.attrs}
+        grown = True
+        while grown:
+            grown = False
+            for edge in fdg.edges:
+                if edge.src in reached and edge.dst not in reached:
+                    reached.add(edge.dst)
+                    grown = True
+        pairs.update((vertex.attrs, end) for end in reached if end != vertex.attrs)
+    return frozenset(pairs)
+
+
+def test_closure_pairs_match_a_naive_search():
+    rng = random.Random(61)
+    for i in range(100):
+        schema = (composite_key_schema if i % 2 else random_schema)(rng)
+        fdg = build_fdg(schema)
+        assert transitive_closure_pairs(fdg) == naive_closure_pairs(fdg)
 
 
 def test_reachability_soundness_and_single_target_completeness():

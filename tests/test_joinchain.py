@@ -80,6 +80,11 @@ def test_two_paths_from_f_to_hd(ex1_fdg):
     assert len(enumerate_simple_paths(rev, V("F")).paths[V("DH")]) == 2
 
 
+def test_unknown_vertex_rejected(ex1_fdg):
+    with pytest.raises(SchemaError, match="^unknown vertex 'AZ'$"):
+        enumerate_simple_paths(ex1_fdg, ("A", "Z"))
+
+
 def test_isolated_vertex_has_trivial_entry():
     fdg = build_fdg(make_schema([("R", ["A"])]))
     result = enumerate_simple_paths(fdg, ("A",))
@@ -248,19 +253,26 @@ def test_matches_brute_force_on_random_graphs():
 
 def test_parents_walk_matches_reversed_graph_enumeration():
     # The reference walks the reversed copy; its refs come out reversed.
+    # The walk over parent_edges is in positions, read back through fdg.
     rng = random.Random(47)
     for _ in range(150):
         fdg = build_fdg(random_schema(rng))
         reference_graph = reverse_graph(fdg)
-        for vertex in fdg.vertices:
-            got = walk_simple_paths(fdg.parents, vertex.attrs, PathLimits())
+        for i, vertex in enumerate(fdg.vertices):
+            walk = walk_simple_paths(fdg.parent_edges, i, PathLimits())
+            got = {
+                fdg.vertices[end].attrs: tuple(
+                    tuple(fdg.edges[j].ref for j in path) for path in paths
+                )
+                for end, paths in walk.paths.items()
+            }
             want = enumerate_simple_paths(reference_graph, vertex.attrs)
             flipped = {
                 end: tuple(tuple((dst, src) for src, dst in path) for path in paths)
                 for end, paths in want.paths.items()
             }
-            assert list(got.paths.items()) == list(flipped.items())
-            assert got.truncated == want.truncated
+            assert list(got.items()) == list(flipped.items())
+            assert walk.truncated == want.truncated
 
 
 def recursive_simple_paths(fdg, start, limits):
@@ -443,13 +455,25 @@ def test_memoised_walks_grow_with_the_paths_not_the_graph():
     assert [join_chains(plain, s) for s in sets] == [join_chains(padded, s) for s in sets]
 
 
+def attribute_parents(fdg):
+    """Per vertex attribute set, its (parent attribute set, edge ref) pairs
+    in vertex order, read off ``fdg.edges`` with no numbering."""
+    parents = {v.attrs: [] for v in fdg.vertices}
+    for edge in fdg.edges:
+        parents[edge.dst].append((edge.src, edge.ref))
+    return {v: tuple(sorted(pairs)) for v, pairs in parents.items()}
+
+
 def frozenset_join_chains(fdg, targets, limits=PathLimits()):
     """Reference: ``join_chains`` before the bit numbering.  Every candidate
     is a frozenset of edge refs, built from unmemoised walks over
-    ``fdg.parents`` and filtered by ``minimal_sets``."""
+    ``attribute_parents(fdg)`` and filtered by ``minimal_sets``.  The walker
+    reads any mapping from a vertex to its (neighbour, ref) pairs, so here
+    it walks attribute sets and returns edge refs."""
     source_set = attr_set(targets)
     target_vertices = [(name,) for name in source_set]
-    per_target = {tv: walk_simple_paths(fdg.parents, tv, limits) for tv in target_vertices}
+    parents = attribute_parents(fdg)
+    per_target = {tv: walk_simple_paths(parents, tv, limits) for tv in target_vertices}
     truncated = any(sp.truncated for sp in per_target.values())
     ancestors = sorted(
         set.intersection(*(set(sp.paths) for sp in per_target.values()))

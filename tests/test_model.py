@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schemacut import (
+    ForeignKey,
     Policy,
+    Relation,
     SchemaError,
     attr_set,
     load_schema_doc,
@@ -53,6 +55,21 @@ def test_primary_key_must_be_subset():
         make_schema([("R", ["A", "B"], ["C"])])
 
 
+@pytest.mark.parametrize(
+    "relations, fds, message",
+    [
+        ([("R", [])], [], r"^relation 'R': empty attribute set$"),
+        ([("R", ["A"], [])], [], r"^relation 'R': empty primary key$"),
+        ([("R", ["A", "B"])], [([], ["B"])], r"^dependency ->B: empty side$"),
+        ([("R", ["A", "B"])], [(["A"], [])], r"^dependency A->: empty side$"),
+    ],
+    ids=["no-attributes", "no-primary-key", "no-lhs", "no-rhs"],
+)
+def test_empty_schema_parts_rejected(relations, fds, message):
+    with pytest.raises(SchemaError, match=message):
+        make_schema(relations, fds)
+
+
 def test_foreign_key_checks():
     with pytest.raises(SchemaError, match="foreign key attribute"):
         make_schema([("R", ["A"], ["A"], [(["B"], "R")])])
@@ -80,6 +97,37 @@ def test_policy_unknown_attribute():
     schema = make_schema([("R", ["A", "B"])])
     with pytest.raises(SchemaError, match="unknown attribute"):
         make_policy(schema, forbidden=[["A", "Z"]])
+
+
+@pytest.mark.parametrize(
+    "forbidden, required, label",
+    [
+        ([["A", "B"]], [[]], "required"),
+        ([["A", "B"], ["C"]], [[]], "required"),
+        ([[]], [], "forbidden"),
+    ],
+    ids=["required-empty", "required-empty-beside-a-singleton", "forbidden-empty"],
+)
+def test_policy_empty_set_rejected(forbidden, required, label):
+    schema = make_schema([("R", ["A", "B", "C"], ["A"])], [(["A"], ["B"])])
+    with pytest.raises(SchemaError, match=f"^{label} set is empty$"):
+        make_policy(schema, forbidden=forbidden, required=required)
+
+
+@pytest.mark.parametrize(
+    "policy, message",
+    [
+        (Policy(forbidden=(("A", "B"),), required=((),)), r"^required set is empty$"),
+        (Policy(forbidden=((),)), r"^forbidden set is empty$"),
+        (Policy(forbidden=(("A", "Z"),)), r"^forbidden set \['A', 'Z'\]: unknown attribute 'Z'$"),
+        (Policy(required=(("Z",),)), r"^required set \['Z'\]: unknown attribute 'Z'$"),
+    ],
+    ids=["required-empty", "forbidden-empty", "forbidden-unknown", "required-unknown"],
+)
+def test_preprocess_checks_a_directly_built_policy(policy, message):
+    schema = make_schema([("R", ["A", "B", "C"], ["A"])], [(["A"], ["B"])])
+    with pytest.raises(SchemaError, match=message):
+        preprocess_policy(schema, policy)
 
 
 def test_policy_deduplicates():
@@ -132,6 +180,30 @@ def test_preprocess_drops_dependencies_whose_lhs_is_hidden():
     assert [str(dep) for dep in schema2.fds] == ["A->C"]
     assert schema2.relation("R").primary_key == ("A",)
     assert policy2.forbidden == (("B", "C"),)
+
+
+def test_preprocess_drops_foreign_keys_that_lose_their_attributes_or_target():
+    # Hiding p empties C's foreign key; hiding h empties H, so K's foreign
+    # key dangles.  D's foreign key keeps x, and P keeps x as its key.
+    schema = make_schema(
+        [
+            ("P", ["p", "x"], ["p"]),
+            ("C", ["c", "p", "y"], ["c"], [(["p"], "P")]),
+            ("D", ["d", "x"], ["d"], [(["x"], "P")]),
+            ("H", ["h"], ["h"]),
+            ("K", ["k", "h"], ["k"], [(["h"], "H")]),
+        ],
+        [(["p"], ["x"]), (["c"], ["p", "y"])],
+    )
+    policy = make_policy(schema, forbidden=[["p"], ["h"]])
+    schema2, policy2, _ = preprocess_policy(schema, policy)
+    assert schema2.relations == (
+        Relation("C", ("c", "y"), ("c",)),
+        Relation("D", ("d", "x"), ("d",), (ForeignKey(("x",), "P"),)),
+        Relation("K", ("k",), ("k",)),
+        Relation("P", ("x",), ("x",)),
+    )
+    assert policy2 == Policy()
 
 
 def test_preprocess_warns_for_a_required_set_naming_a_hidden_attribute():
@@ -215,6 +287,18 @@ def relation_doc(**fields):
         ({**relation_doc(), "policy": {"required": "AB"}}, r"^policy\.required: must be a list$"),
         ({**relation_doc(), "policy": []}, r"^policy: must be an object$"),
         ([], r"^document: must be an object$"),
+        ({"fds": []}, r"^document: missing 'relations' or 'fds'$"),
+        ({"relations": []}, r"^document: missing 'relations' or 'fds'$"),
+        (
+            relation_doc(foreign_keys=[{"references": "R"}]),
+            r"^relations\[0\]\.foreign_keys\[0\]: missing 'attributes' or 'references'$",
+        ),
+        (
+            relation_doc(foreign_keys=[{"attributes": ["B"]}]),
+            r"^relations\[0\]\.foreign_keys\[0\]: missing 'attributes' or 'references'$",
+        ),
+        ({"relations": [], "fds": [{"rhs": ["B"]}]}, r"^fds\[0\]: missing 'lhs' or 'rhs'$"),
+        ({"relations": [], "fds": [{"lhs": ["A"]}]}, r"^fds\[0\]: missing 'lhs' or 'rhs'$"),
     ],
     ids=[
         "relations-not-a-list",
@@ -229,6 +313,12 @@ def relation_doc(**fields):
         "required-a-string",
         "policy-not-an-object",
         "document-not-an-object",
+        "relations-missing",
+        "fds-missing",
+        "foreign-key-attributes-missing",
+        "foreign-key-references-missing",
+        "lhs-missing",
+        "rhs-missing",
     ],
 )
 def test_json_badly_shaped_documents_name_the_field(doc, message):

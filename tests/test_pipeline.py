@@ -17,9 +17,11 @@ from schemacut import (
     Fragment,
     FunctionalDependency,
     PathLimits,
+    Policy,
     RecutDidNotConverge,
     Relation,
     Schema,
+    SchemaError,
     decompose_fds,
     dependency_loss,
     greedy_cut,
@@ -118,6 +120,26 @@ def test_empty_policy_changes_nothing(example2):
         rel.name: {rel.attributes} for rel in schema.relations
     }
     assert report.result.new_forbidden == ()
+
+
+@pytest.mark.parametrize(
+    "policy, label",
+    [
+        (Policy(required=((),)), "required"),
+        (Policy(forbidden=(("A", "B"),), required=((),)), "required"),
+        (Policy(forbidden=(("A", "B"), ("C",)), required=((),)), "required"),
+        (Policy(forbidden=((),)), "forbidden"),
+    ],
+    ids=["required-empty", "beside-a-forbidden-set", "beside-a-singleton", "forbidden-empty"],
+)
+def test_empty_policy_set_is_refused(policy, label):
+    # Refused before any stage sees it: an empty required set has no join
+    # chain, so the consistency check would call the policy inconsistent,
+    # unless hiding dropped it first; an empty forbidden set would fail
+    # inside decompose_relation, naming no set.
+    schema = make_schema([("R", ["A", "B", "C"], ["A"])], [(["A"], ["B"])])
+    with pytest.raises(SchemaError, match=f"^{label} set is empty$"):
+        secure_decompose(schema, policy)
 
 
 def test_weak_cut_verifies_secure(example0):
