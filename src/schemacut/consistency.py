@@ -17,15 +17,17 @@ backtracking search in the style of DPLL (Davis, Logemann & Loveland
   required families (Haralick & Elliott 1980), each node deriving its
   bans, the edges of every family's last live chain, from its counts.
 
-Both read an optional deadline before any search and, inside the core,
-every ``_TIMEOUT_STRIDE`` pick attempts, so an expired deadline stops the
-work at once.  The clock serves the deadline only: a result carries no
-timing, so equal instances give equal (``==``) results.  Deciding
-consistency is NP-complete; a 3SAT reduction doubles as a test generator.
+Both compute one optional deadline and read the clock before any search
+and, inside the core, before every pick attempt, so an expired deadline
+stops the work within one step.  The clock serves the deadline only: a
+result carries no timing, so equal instances give equal (``==``)
+results.  Deciding consistency is NP-complete; a 3SAT reduction doubles
+as a test generator.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,9 +40,6 @@ from .model import SchemaError, check_object, doc_list, element_index, read_json
 
 class ConsistencyTimeout(Exception):
     """Cooperative deadline exceeded during an exhaustive check."""
-
-
-_TIMEOUT_STRIDE = 1024
 
 
 @dataclass(frozen=True)
@@ -134,18 +133,23 @@ def _label_sort_key(edge: Hashable, count: int) -> tuple:
     return (-count, edge)
 
 
-def _deadline_passed(start: float, timeout_s: float | None, steps: int) -> bool:
-    """Read the clock at step 0 and every ``_TIMEOUT_STRIDE`` steps.
+def _deadline(timeout_s: float | None) -> float | None:
+    """The preamble of both checkers: the clock time a check must stop at.
 
-    Both checkers read it at step 0, so an already expired deadline stops
-    the work before any search.
+    None means no limit.  A limit that can never fire (nan, inf) or is
+    negative is refused, and an expired one stops the check before any work.
     """
-    if timeout_s is None or steps % _TIMEOUT_STRIDE:
-        return False
-    return time.perf_counter() - start >= timeout_s
+    if timeout_s is None:
+        return None
+    if not 0 <= timeout_s < math.inf:
+        raise ValueError(f"timeout_s must be a finite number >= 0, got {timeout_s!r}")
+    deadline = time.perf_counter() + timeout_s
+    if time.perf_counter() >= deadline:
+        raise ConsistencyTimeout
+    return deadline
 
 
-def _depth_first(moves, start: float, timeout_s: float | None) -> bool:
+def _depth_first(moves, deadline: float | None) -> bool:
     """The search core of both strategies: an iterative depth-first walk.
 
     ``moves.branches(excluded)`` lists the options of the current node,
@@ -154,11 +158,11 @@ def _depth_first(moves, start: float, timeout_s: float | None) -> bool:
     picks already fail; ``moves.unpick()`` undoes the latest pick, failed
     or not, and returns its option.  An option whose branch failed stays
     in ``excluded`` for its siblings, so no combination is tried twice.
-    Every pick attempt is one step toward the deadline.  True when the
-    walk stops at a solution, which ``moves`` then holds.
+    The clock is read before every pick attempt, so a deadline overshoots
+    by at most one step.  True when the walk stops at a solution, which
+    ``moves`` then holds.
     """
     excluded: set = set()
-    steps = 0
     # Each frame: its options and the index of the next one.
     stack: list[list] = []
     candidates = moves.branches(excluded)
@@ -178,8 +182,7 @@ def _depth_first(moves, start: float, timeout_s: float | None) -> bool:
                 stack.pop()
                 continue
             frame[1] = pos + 1
-            steps += 1
-            if _deadline_passed(start, timeout_s, steps):
+            if deadline is not None and time.perf_counter() >= deadline:
                 raise ConsistencyTimeout
             if moves.pick(options[pos]):
                 break
@@ -249,7 +252,7 @@ class _ChainChoice:
 
 
 def _preserved_choice(
-    instance: CcInstance, start: float, timeout_s: float | None
+    instance: CcInstance, deadline: float | None
 ) -> list[frozenset] | None:
     """The first consistent choice of one chain per family, or None.
 
@@ -264,7 +267,7 @@ def _preserved_choice(
     if not any(chain <= protected for chain in instance.forbidden_chains):
         return first
     moves = _ChainChoice(instance)
-    return moves.chosen if _depth_first(moves, start, timeout_s) else None
+    return moves.chosen if _depth_first(moves, deadline) else None
 
 
 def check_required_first(
@@ -284,10 +287,7 @@ def check_required_first(
     inconsistent without a search, and a first choice (the first chain of
     every family) that passes is taken without one.
     """
-    start = time.perf_counter()
-    if _deadline_passed(start, timeout_s, 0):
-        raise ConsistencyTimeout
-    chosen = _preserved_choice(instance, start, timeout_s)
+    chosen = _preserved_choice(instance, _deadline(timeout_s))
     if chosen is not None:
         protected = frozenset().union(*chosen)
         restricted = [chain - protected for chain in instance.forbidden_chains]
@@ -390,14 +390,12 @@ def check_forbidden_first(
     the witnesses are the first disjoint chain per family.  Verdicts agree
     with strategy I on every instance.
     """
-    start = time.perf_counter()
-    if _deadline_passed(start, timeout_s, 0):
-        raise ConsistencyTimeout
+    deadline = _deadline(timeout_s)
     picked = frozenset(min(chain) for chain in instance.forbidden_chains)
     witnesses = _survivors(instance, picked)
     if witnesses is None:
         search = _CutSearch(instance)
-        if all(search.live) and _depth_first(search, start, timeout_s):
+        if all(search.live) and _depth_first(search, deadline):
             picked = frozenset(search.cut)
             witnesses = _survivors(instance, picked)
     if witnesses is None:

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -195,21 +196,21 @@ def test_required_first_walks_thousands_of_families_without_recursion():
 
 
 def test_every_pick_attempt_counts_toward_the_deadline(monkeypatch):
-    # One node whose 3,000 options all fail at once: the clock stride
-    # counts each attempt, not each node.
+    # One node whose 3,000 options all fail at once: the clock is read
+    # before each attempt, not each node, after the preamble's two reads
+    # (one computes the deadline, one checks it before any work).
     from schemacut import consistency
 
-    steps = []
-    real = consistency._deadline_passed
+    reads = []
 
-    def recording(start, timeout_s, step):
-        steps.append(step)
-        return real(start, timeout_s, step)
+    def clock():
+        reads.append(None)
+        return time.perf_counter()
 
-    monkeypatch.setattr(consistency, "_deadline_passed", recording)
+    monkeypatch.setattr(consistency, "time", SimpleNamespace(perf_counter=clock))
     instance = make_instance([["a"]], [[["a", f"x{i}"] for i in range(3000)]])
     assert not check_required_first(instance, timeout_s=60.0).consistent
-    assert max(steps) == 3000
+    assert len(reads) == 2 + 3000
 
 
 def test_required_first_builds_no_index_when_the_first_choice_passes(monkeypatch):
@@ -275,18 +276,54 @@ def test_expired_deadline_stops_both_strategies():
 
 
 
-def test_deadline_stops_the_search_midway():
-    # An unsatisfiable 72-variable formula: the search needs about 2 s on
-    # a 2 GHz x86-64 machine, far past the 50 ms deadline.
+def _random_3sat(k):
+    # round(4.5 * k) random clauses over k variables, past the
+    # satisfiability threshold (about 4.27 clauses per variable).
     rng = random.Random(1)
-    k = 72
     clauses = tuple(
         tuple(rng.choice([1, -1]) * v for v in rng.sample(range(1, k + 1), 3))
         for _ in range(round(4.5 * k))
     )
-    instance = reduce_3sat(ThreeSatFormula(k, clauses))
+    return reduce_3sat(ThreeSatFormula(k, clauses))
+
+
+def test_deadline_stops_the_search_midway():
+    # An unsatisfiable 72-variable formula: the search needs about 2 s on
+    # a 2 GHz x86-64 machine, far past the 50 ms deadline.
+    instance = _random_3sat(72)
     with pytest.raises(ConsistencyTimeout):
         check_forbidden_first(instance, timeout_s=0.05)
+
+
+@pytest.mark.parametrize(
+    "checker, instance",
+    [
+        (check_required_first, lambda: _table3("Exp_20")),
+        (check_forbidden_first, lambda: _random_3sat(72)),
+    ],
+    ids=["I-Exp_20", "II-3sat72"],
+)
+def test_deadline_overshoots_by_at_most_one_pick_attempt(monkeypatch, checker, instance):
+    # A clock that advances one unit per read, and no wall-clock margin:
+    # the preamble reads it twice, every pick attempt once more, so a
+    # 3-unit limit lets at most timeout_s + 2 attempts through.  Both
+    # searches make thousands of attempts before they could decide.
+    from schemacut import consistency
+
+    instance = instance()
+    ticks = itertools.count()
+    monkeypatch.setattr(consistency, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    attempts = []
+    for moves in (consistency._ChainChoice, consistency._CutSearch):
+        def counted(self, option, pick=moves.pick):
+            attempts.append(option)
+            return pick(self, option)
+
+        monkeypatch.setattr(moves, "pick", counted)
+    timeout_s = 3
+    with pytest.raises(ConsistencyTimeout):
+        checker(instance, timeout_s=timeout_s)
+    assert 0 < len(attempts) <= timeout_s + 2
 
 def test_forbidden_first_keeps_the_least_label_candidate():
     # Taking the least label of every chain already spares a chain of the
@@ -427,7 +464,7 @@ def test_cut_search_counts_and_bans_match_a_recount(instance):
         return candidates
 
     search.pick, search.unpick, search.branches = checked_pick, checked_unpick, checked_branches
-    found = consistency._depth_first(search, time.perf_counter(), None)
+    found = consistency._depth_first(search, None)
     # An empty family fails every pick but not an empty cut; the caller
     # rules it out before the walk.
     if found and all(families):

@@ -27,6 +27,7 @@ from schemacut import (
     greedy_cut,
     join_chains,
     build_fdg,
+    check,
     load_schema_doc,
     make_policy,
     make_schema,
@@ -726,12 +727,25 @@ def test_equal_inputs_give_equal_reports(name):
 
 @pytest.mark.parametrize("name", fixtures.EXAMPLE_NAMES)
 def test_deadline_stops_the_check_or_changes_nothing(name):
-    # The consistency check reads the deadline at step 0, so a zero budget
-    # stops every example; a generous one gives the unbounded report.
+    # The consistency check reads the deadline before any work, so a zero
+    # budget stops every example; a generous one gives the unbounded report.
     schema, policy = fixtures.example_schema(name)
     with pytest.raises(ConsistencyTimeout):
         secure_decompose(schema, policy, timeout_s=0)
     assert secure_decompose(schema, policy, timeout_s=60) == secure_decompose(schema, policy)
+
+
+@pytest.mark.parametrize("timeout_s", [float("nan"), float("inf"), -1])
+def test_a_limit_that_can_never_fire_is_refused(timeout_s):
+    # nan and inf would let the search run unbounded, and -1 is no limit
+    # at all: each is bad input, not a timeout, as on the command line.
+    instance = fixtures.cc_instance(1)
+    for strategy in ("I", "II", "auto"):
+        with pytest.raises(ValueError, match="timeout_s"):
+            check(instance, strategy, timeout_s=timeout_s)
+    schema, policy = fixtures.example_schema("example1")
+    with pytest.raises(ValueError, match="timeout_s"):
+        secure_decompose(schema, policy, timeout_s=timeout_s)
 
 
 def test_interleaved_schemas_match_reports_made_without_the_cache(example1, example2):
