@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
-from .consistency import CcInstance, ConsistencyTimeout, check
+from .consistency import CcInstance, ConsistencyTimeout, _validate_timeout, check
 from .model import SchemaError, check_object, read_json
 
 
@@ -80,7 +80,9 @@ def run_benchmark(
 
     A per-instance timeout is recorded as a result row with verdict None;
     the run continues.  Rows come out in grid order, strategies inner.
+    A bad ``timeout_s`` (nan, inf, negative) is refused before any row.
     """
+    _validate_timeout(timeout_s)
     results = []
     for exp, params in enumerate(grid):
         instance = generate_instance(params)

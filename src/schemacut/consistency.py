@@ -133,16 +133,23 @@ def _label_sort_key(edge: Hashable, count: int) -> tuple:
     return (-count, edge)
 
 
+def _validate_timeout(timeout_s: float | None) -> None:
+    """Refuse a limit that can never fire (nan, inf) or is negative; None
+    means no limit.  The one check of ``timeout_s``, also run at the entry
+    of the callers that pass it on (``secure_decompose``, ``run_benchmark``)."""
+    if timeout_s is not None and not 0 <= timeout_s < math.inf:
+        raise ValueError(f"timeout_s must be a finite number >= 0, got {timeout_s!r}")
+
+
 def _deadline(timeout_s: float | None) -> float | None:
     """The preamble of both checkers: the clock time a check must stop at.
 
-    None means no limit.  A limit that can never fire (nan, inf) or is
-    negative is refused, and an expired one stops the check before any work.
+    None means no limit.  A bad limit is refused (``_validate_timeout``),
+    and an expired one stops the check before any work.
     """
+    _validate_timeout(timeout_s)
     if timeout_s is None:
         return None
-    if not 0 <= timeout_s < math.inf:
-        raise ValueError(f"timeout_s must be a finite number >= 0, got {timeout_s!r}")
     deadline = time.perf_counter() + timeout_s
     if time.perf_counter() >= deadline:
         raise ConsistencyTimeout

@@ -7,10 +7,13 @@ also carries the older strong-cut baseline, which additionally severs
 every forbidden attribute from each of its identifiers.
 
 One function, ``RelationIndex.held_and_lost``, decides which fragments
-hold each dependency whole, once per pipeline round; ``held_and_lost``
-runs it on a fresh index.  The index (``relation_index``) holds what the
-schema alone decides: the relations' membership masks, each relation as
-its one whole fragment, and which relations hold each dependency.
+hold each dependency whole, once per pipeline round, and gives the held
+ones as a mask of dependency positions; ``held_and_lost`` runs it on a
+fresh index and reads the mask back as dependencies.  The index
+(``relation_index``) holds what the schema alone decides: the relations'
+membership masks, each relation as its one whole fragment, which
+relations hold each dependency, and which dependencies derive each
+attribute (what ``pipeline``'s verdict walks back from a policy).
 ``pipeline`` keeps it with the schema's graph.  A relation left whole
 holds what it holds and loses nothing, so a round examines only the
 fragments of split relations and the dependencies that name their
@@ -120,7 +123,8 @@ class RelationIndex(NamedTuple):
 
     Relation ``i`` of ``schema.relations`` is bit ``1 << i`` of ``masks``
     and ``holding``; dependency ``j`` of ``dfds`` is bit ``1 << j`` of
-    ``readers``.
+    ``readers``, ``whole_held`` and ``held_and_lost``'s held mask, and
+    appears as ``j`` in ``by_rhs``.
     """
 
     schema: Schema
@@ -130,18 +134,21 @@ class RelationIndex(NamedTuple):
     position: Mapping[str, int]  # per relation name, its bit position
     holding: tuple[int, ...]  # per dependency, the relations holding it whole
     readers: Mapping[str, int]  # per attribute, the dependencies naming it
+    by_rhs: Mapping[str, tuple[int, ...]]  # per attribute, the dependencies deriving it
+    whole_held: int  # the dependencies some relation holds whole
 
     def held_and_lost(
         self, fragments: Sequence[Fragment]
-    ) -> tuple[tuple[FunctionalDependency, ...], tuple[FunctionalDependency, ...]]:
-        """``held_and_lost(self.schema, fragments, self.dfds)``.
+    ) -> tuple[int, tuple[FunctionalDependency, ...]]:
+        """``held_and_lost(self.schema, fragments, self.dfds)``, with the
+        held dependencies as a mask of their positions in ``dfds``.
 
         A fragment that is its whole relation holds exactly what the
         relation holds whole, and the relation (unsplit) loses nothing.
         Every other fragment is examined, and only for the dependencies
         that name an attribute of an examined fragment or of a split
         relation; no other dependency can be held by an examined fragment
-        or lost.
+        or lost, so the others keep their bit of ``whole_held``.
         """
         unsplit = 0
         examined: list[AttributeSet] = []
@@ -165,18 +172,18 @@ class RelationIndex(NamedTuple):
 
         fds = self.dfds.fds
         frag_masks = closure_masks(examined, ())
-        verdict: dict[int, bool] = {}  # per candidate, whether some fragment holds it
+        held = self.whole_held & ~candidates
         lost = []
         for j in set_bits(candidates):
             kept = holders(frag_masks, fds[j].lhs + fds[j].rhs)
-            verdict[j] = bool(kept or self.holding[j] & unsplit)
+            if kept or self.holding[j] & unsplit:
+                held |= 1 << j
             found = self.holding[j] & split
             # Skip the relations whose fragments keep it (set_bits inlined: hot loop).
             while found and kept & own.get((found & -found).bit_length() - 1, 0):
                 found &= found - 1
             if found:
                 lost.append(fds[j])
-        held = tuple(dep for j, dep in enumerate(fds) if verdict.get(j, self.holding[j]))
         return held, tuple(lost)
 
 
@@ -187,12 +194,16 @@ def relation_index(schema: Schema, dfds: DecomposedFdSet) -> RelationIndex:
     decomposed under many policies is indexed once.
     """
     masks = closure_masks([rel.attributes for rel in schema.relations], ())
-    holding, readers = [], {}
+    holding, readers, by_rhs, whole_held = [], {}, {}, 0
     for j, dep in enumerate(dfds):
         attrs = dep.lhs + dep.rhs
         holding.append(holders(masks, attrs))
+        if holding[j]:
+            whole_held |= 1 << j
         for attr in attrs:
             readers[attr] = readers.get(attr, 0) | 1 << j
+        for attr in dep.rhs:
+            by_rhs.setdefault(attr, []).append(j)
     return RelationIndex(
         schema,
         dfds,
@@ -201,6 +212,8 @@ def relation_index(schema: Schema, dfds: DecomposedFdSet) -> RelationIndex:
         {rel.name: i for i, rel in enumerate(schema.relations)},
         tuple(holding),
         readers,
+        {attr: tuple(deps) for attr, deps in by_rhs.items()},
+        whole_held,
     )
 
 
@@ -210,7 +223,8 @@ def held_and_lost(
     """The dependencies of ``dfds`` some fragment holds whole (held), and those
     some relation holds whole but none of its fragments does (lost), each in
     ``dfds`` order (``RelationIndex.held_and_lost`` on a fresh index)."""
-    return relation_index(schema, dfds).held_and_lost(fragments)
+    held, lost = relation_index(schema, dfds).held_and_lost(fragments)
+    return tuple(dfds.fds[j] for j in set_bits(held)), lost
 
 
 def strong_cut_decompose(

@@ -15,13 +15,21 @@ position order is sorted order (``Fdg.position``), and edge ``j`` is
 ``edges[j]``.  Its edges are indexed once, on first use, in that
 numbering only, one index per direction: ``Fdg.child_edges`` and
 ``Fdg.parent_edges``.  There are no attribute-keyed maps; a caller that
-speaks in attribute sets translates at its boundary.  ``Fdg.parent_walks``
-memoises ``joinchain``'s ancestor walks in that numbering, each a
-``joinchain.SimplePaths`` whose paths are tuples of edge positions, one
-per (target, limits), so a target shared by many policies is walked once
-per graph.  ``pipeline`` keeps the last schema's graph between calls, so
-a schema decomposed under many policies is built, indexed and walked
-once; it builds no other graph.
+speaks in attribute sets translates at its boundary; ``Fdg.refs`` holds
+each edge's ref once, so every chain that names an edge shares its tuple.
+
+Two memos hold ``joinchain``'s work on the graph, both filled by
+``join_chains``.  ``Fdg.parent_walks`` keeps the ancestor walks in that
+numbering, each a ``joinchain.SimplePaths`` whose paths are tuples of
+edge positions, one per (target, limits), so a target shared by many
+policies is walked once per graph.  ``Fdg.chain_families`` keeps each
+finished ``joinchain.ChainFamily``, one per (attribute set, limits), so a
+set asked again is one lookup.  ``pipeline`` keeps the last schema's
+graph between calls, so a schema decomposed under many policies is
+built, indexed and walked once, and each of its policy sets enumerated
+once; it builds no other graph.  The memos grow with the distinct
+targets and sets asked of one graph, and a new schema frees them with
+the old graph.
 """
 
 from __future__ import annotations
@@ -90,12 +98,34 @@ class Fdg:
         return self._index(lambda edge: (edge.dst, edge.src))
 
     @cached_property
+    def refs(self) -> tuple[EdgeRef, ...]:
+        """Each edge's ref, by edge position: one tuple per edge, shared by
+        every chain that holds the edge."""
+        return tuple(edge.ref for edge in self.edges)
+
+    @cached_property
     def parent_walks(self) -> dict:
         """Ancestor walks over ``parent_edges`` (``joinchain.SimplePaths``),
         keyed by (start vertex, limits).
 
         Filled by ``joinchain.join_chains``.  A walk depends only on the
-        graph, its start and the limits, so every caller shares it.
+        graph, its start and the limits, so every caller shares it.  It
+        stays beside ``chain_families`` because sets share targets: the
+        128 policies of 20 pairs drawn on an 80-entity snowflake name
+        about 1,740 distinct sets over only 240 targets, so most sets
+        first seen are built from walks already made.
+        """
+        return {}
+
+    @cached_property
+    def chain_families(self) -> dict:
+        """Join chain families (``joinchain.ChainFamily``), keyed by
+        (attribute set, limits).
+
+        Filled by ``joinchain.join_chains``.  A family depends only on the
+        graph, the set and the limits and is immutable, so every caller
+        shares it.  The memo grows with the distinct sets asked of this
+        graph, and goes with the graph.
         """
         return {}
 

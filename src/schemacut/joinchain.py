@@ -15,13 +15,19 @@ drops the candidates that contain another.  Only the kept chains are
 turned back into edge refs.
 
 The pipeline enumerates chains on the schema's graph only, for the first
-round's cut; its re-cut rounds follow closure derivations.  Each target's
-walk is taken from the graph's memo (``Fdg.parent_walks``), which holds
-``walk_simple_paths``'s ``SimplePaths`` as they are, so policies sharing
-a target over one graph walk it once per limits.  Memoised walks are
-shared, so ``SimplePaths.paths`` is read-only.  Forward walks
-(``enumerate_simple_paths``) are not memoised; they are the one place
-that translates a walk back to attribute sets and edge refs.
+round's cut; its re-cut rounds follow closure derivations.  A family
+depends only on the graph, the set and the limits, so ``join_chains``
+keeps each on the graph (``Fdg.chain_families``): a set asked again of
+one graph, by any policy, is one lookup and returns the same immutable
+family.  A set first seen takes each target's walk from the graph's
+other memo (``Fdg.parent_walks``), which holds ``walk_simple_paths``'s
+``SimplePaths`` as they are, so sets sharing a target walk it once per
+limits.  Memoised walks are shared, so ``SimplePaths.paths`` is
+read-only.  Kept chains name edges by the graph's shared refs
+(``Fdg.refs``), so the family memo holds no copy of an edge's ref.
+Forward walks (``enumerate_simple_paths``) are not memoised; they are
+the one place that translates a walk back to attribute sets and edge
+refs.
 """
 
 from __future__ import annotations
@@ -134,8 +140,9 @@ def enumerate_simple_paths(
     if start not in fdg.position:
         raise SchemaError(f"unknown vertex {''.join(start)!r}")
     walk = walk_simple_paths(fdg.child_edges, fdg.position[start], limits or PathLimits())
+    refs = fdg.refs
     paths = {
-        fdg.vertices[end].attrs: tuple(tuple(fdg.edges[j].ref for j in path) for path in found)
+        fdg.vertices[end].attrs: tuple(tuple(refs[j] for j in path) for path in found)
         for end, found in walk.paths.items()
     }
     return SimplePaths(start, MappingProxyType(paths), walk.truncated)
@@ -150,11 +157,24 @@ def join_chains(
     ancestor, in vertex order, the first ``max_paths_per_target``
     combinations of one simple path per target yield candidate chains;
     identical edge sets collapse and chains containing another chain are
-    dropped.  Each target's ancestor walk is memoised on ``fdg``.
+    dropped.  The family is memoised on ``fdg`` per (set, limits), and so
+    is each target's ancestor walk.  Threads that miss together each
+    enumerate, and the first family stored wins; the families are equal,
+    so no lock is needed.
     """
     limits = limits or PathLimits()
-    cap = limits.max_paths_per_target
     source_set = attr_set(targets)
+    memo = fdg.chain_families
+    key = (source_set, limits)
+    family = memo.get(key)
+    if family is None:
+        family = memo.setdefault(key, _enumerate_chains(fdg, source_set, limits))
+    return family
+
+
+def _enumerate_chains(fdg: Fdg, source_set: AttributeSet, limits: PathLimits) -> ChainFamily:
+    """``join_chains`` without its memo."""
+    cap = limits.max_paths_per_target
     for name in source_set:
         if (name,) not in fdg.position:
             raise SchemaError(f"unknown target attribute {name!r}")
@@ -181,10 +201,12 @@ def join_chains(
         for combo in combos:
             found.setdefault(frozenset(combo), pos)
 
-    edges, vertices = fdg.edges, fdg.vertices
+    # A frozenset copied from a set is sized for its elements, and the
+    # family memo keeps every chain.
+    refs, vertices = fdg.refs, fdg.vertices
     chains = tuple(
         JoinChain(
-            frozenset([edges[j].ref for j in chain]),
+            frozenset({refs[j] for j in chain}),
             vertices[found[chain]].attrs,
             source_set,
         )

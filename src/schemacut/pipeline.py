@@ -20,7 +20,12 @@ holds whole and those a relation lost (the report's ``lost_fds``), and
 *verifies by closure*, which no path bound limits and which is the
 attacker's rule: no fragment's attribute closure under the held
 dependencies may contain a forbidden set.  One closure verdict
-(``_verdict``) decides each round and ``verify_decomposition`` alike.
+(``_verdict``) decides each round and ``verify_decomposition`` alike.  It
+closes only the policy's cone: the policy's attributes and, backwards
+through the held dependencies that derive them, every attribute a
+derivation of one could use.  Each fragment's cone part is closed under
+the cone's dependencies alone, which gives every policy set the verdict
+of the full closure.
 
 Verification is load-bearing.  A cut through a composite vertex's
 containment edge only bans the full composite, and a composite lhs joins
@@ -36,12 +41,16 @@ reports.
 
 Everything the schema alone determines is kept for the last schema seen
 (``_base_graph``, a one-entry cache keyed by the schema value): its graph,
-with its edge index, its numbering and its memoised ancestor walks, its
-decomposed dependencies, and its relation index
-(``decompose.relation_index``: the relations' membership masks, whole
-fragments and which relations hold each dependency).  Decomposing one
-schema under many policies builds and indexes them once; no other graph
-is built.
+with its edge index, its numbering, its memoised ancestor walks and its
+memoised chain families (one per policy set and path limits, so a set
+that another policy named before costs one lookup), its decomposed
+dependencies, and its relation index (``decompose.relation_index``: the
+relations' membership masks, whole fragments, which relations hold each
+dependency and which dependencies derive each attribute).  Decomposing
+one schema under many policies builds and indexes them once, and
+enumerates each distinct set once; no other graph is built.  The chain
+memo grows with the distinct sets asked of the schema, and a call on
+another schema frees it with the old graph.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ from .closure import (
     holders,
     set_bits,
 )
-from .consistency import ConsistencyResult, check, make_instance
+from .consistency import ConsistencyResult, _validate_timeout, check, make_instance
 from .cut import (
     CutSet,
     edges_to_forbidden_sets,
@@ -72,7 +81,6 @@ from .decompose import (
     RelationIndex,
     decompose_relation,
     decomposition_to_dict,
-    held_and_lost,
     relation_index,
 )
 from .fdg import Fdg, build_fdg
@@ -106,8 +114,8 @@ def _base_graph(schema: Schema) -> tuple[Fdg, RelationIndex]:
     """``build_fdg(schema)`` and the ``relation_index`` of the schema and
     ``decompose_fds(schema.fds)``, kept for the last schema seen (one entry).
 
-    Every call on that schema shares both (and the graph's walk memo), so
-    none may change them.
+    Every call on that schema shares both (and the graph's walk and chain
+    memos), so none may change them.
     """
     return build_fdg(schema), relation_index(schema, decompose_fds(schema.fds))
 
@@ -121,18 +129,41 @@ def verify_decomposition(
     the dependencies some fragment holds whole.  Each required set is
     flagged with whether it is still associable in that sense.
     """
-    held, _ = held_and_lost(schema, result.fragments, decompose_fds(schema.fds))
-    _, unbroken, required_flags = _verdict(result.fragments, held, policy)
+    index = relation_index(schema, decompose_fds(schema.fds))
+    held, _ = index.held_and_lost(result.fragments)
+    _, unbroken, required_flags = _verdict(index, result.fragments, held, policy)
     return not unbroken, required_flags
 
 
 def _verdict(
-    fragments, held, policy: Policy
+    index: RelationIndex, fragments, held: int, policy: Policy
 ) -> tuple[dict[str, int], list[AttributeSet], tuple[tuple[AttributeSet, bool], ...]]:
-    """The fragments' closure masks under the dependencies ``held``, the
-    forbidden sets still associable among them, and each required set
-    flagged with whether it is."""
-    masks = closure_masks([frag.attrs for frag in fragments], held)
+    """The closure masks of the policy's cone in the fragments, the
+    forbidden sets still associable among the fragments, and each required
+    set flagged with whether it is.
+
+    ``held`` is the mask of the ``index.dfds`` positions some fragment
+    holds whole.  The cone is the policy's attributes and, to a fixpoint,
+    the lhs attributes of every held dependency that derives a cone
+    attribute (walked back through ``index.by_rhs``).  A derivation of a
+    cone attribute uses only such dependencies, so closing each fragment's
+    cone part under them alone gives every cone attribute the mask that
+    closing the whole fragments under every held dependency would: the
+    goal-directed restriction of a bottom-up fixpoint (magic sets,
+    Bancilhon, Maier, Sagiv & Ullman, PODS 1986).
+    """
+    fds, by_rhs = index.dfds.fds, index.by_rhs
+    cone = {attr for s in (*policy.forbidden, *policy.required) for attr in s}
+    stack, deps = list(cone), []
+    while stack:
+        for j in by_rhs.get(stack.pop(), ()):
+            if held >> j & 1:
+                deps.append(fds[j])
+                for attr in fds[j].lhs:
+                    if attr not in cone:
+                        cone.add(attr)
+                        stack.append(attr)
+    masks = closure_masks([cone.intersection(frag.attrs) for frag in fragments], deps)
     unbroken = [s for s in policy.forbidden if holders(masks, s)]
     return masks, unbroken, tuple((req, bool(holders(masks, req))) for req in policy.required)
 
@@ -200,8 +231,10 @@ def secure_decompose(
 
     An inconsistent policy yields a report with no fragments rather than
     an exception.  Truncated chain enumerations, any re-cut rounds and
-    required sets lost are surfaced as warnings.
+    required sets lost are surfaced as warnings.  A bad ``timeout_s`` (nan,
+    inf, negative) is refused before any work.
     """
+    _validate_timeout(timeout_s)
     schema, policy, warnings = preprocess_policy(schema, policy)
     warnings = list(warnings)
 
@@ -236,7 +269,7 @@ def secure_decompose(
     for rounds in range(_MAX_RECUT_ROUNDS + 1):
         fragments = _split(index, effective, max_width)
         held, lost = index.held_and_lost(fragments)
-        masks, unbroken, required_flags = _verdict(fragments, held, policy)
+        masks, unbroken, required_flags = _verdict(index, fragments, held, policy)
         if not unbroken:
             break
         if rounds == _MAX_RECUT_ROUNDS:
@@ -245,7 +278,8 @@ def secure_decompose(
                 + _braced(unbroken) + " still associable"
             )
         kept = [req for req, ok in required_flags if ok]
-        progress = _derivation_cut(fragments, held, masks, unbroken, kept)
+        held_fds = [index.dfds.fds[j] for j in set_bits(held)]
+        progress = _derivation_cut(fragments, held_fds, masks, unbroken, kept)
         warnings.append(
             "additional co-occurrence constraints were needed to break surviving "
             + "associations: " + _braced(progress)

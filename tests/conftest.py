@@ -187,3 +187,17 @@ def count_walks(monkeypatch) -> list:
 
     monkeypatch.setattr(joinchain, "walk_simple_paths", counted)
     return walks
+
+
+def count_enumerations(monkeypatch) -> list:
+    """Record every chain family ``join_chains`` enumerates, rather than
+    takes from its memo, as (attribute set, limits)."""
+    enumerated = []
+    enumerate_chains = joinchain._enumerate_chains
+
+    def counted(fdg, source_set, limits):
+        enumerated.append((source_set, limits))
+        return enumerate_chains(fdg, source_set, limits)
+
+    monkeypatch.setattr(joinchain, "_enumerate_chains", counted)
+    return enumerated

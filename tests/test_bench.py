@@ -217,3 +217,12 @@ def test_grid_name_must_be_a_string(name):
         load_grid_doc([GRID_ENTRY, {**GRID_ENTRY, "name": name}])
     assert str(info.value) == "grid[1].name: must be a string"
     assert load_grid_doc([GRID_ENTRY, {**GRID_ENTRY, "name": "x"}])[0] == ["Exp_1", "x"]
+
+
+@pytest.mark.parametrize("timeout_s", [float("nan"), float("inf"), -1.0])
+def test_a_bad_limit_is_refused_before_any_row(timeout_s):
+    # Refused at entry, even when the grid holds nothing to check.
+    with pytest.raises(ValueError, match="timeout_s"):
+        run_benchmark([], timeout_s=timeout_s)
+    with pytest.raises(ValueError, match="timeout_s"):
+        run_benchmark([SMALL], ["I"], timeout_s=timeout_s)

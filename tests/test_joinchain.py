@@ -429,8 +429,9 @@ def key_chain_schema(length, padding=0):
 
 
 def _retained_bytes(fdg, sets):
-    """Memory that ``join_chains`` leaves behind on a graph already numbered."""
-    assert fdg.parent_edges
+    """Memory that ``join_chains`` leaves behind on a graph already numbered
+    (its edge index and its edge refs, one per edge, built)."""
+    assert fdg.parent_edges and fdg.refs
     tracemalloc.start()
     try:
         before = tracemalloc.take_snapshot()

@@ -37,6 +37,7 @@ from schemacut import (
     verify_decomposition,
 )
 from schemacut import fixtures, pipeline
+from schemacut.closure import closure_masks, holders, set_bits
 from schemacut.decompose import (
     RelationIndex,
     decompose_relation,
@@ -49,6 +50,7 @@ from schemacut.model import attr_set, preprocess_policy
 
 from .conftest import (
     composite_key_schema,
+    count_enumerations,
     count_walks,
     fd_chain_schema,
     random_fragments,
@@ -451,6 +453,61 @@ def test_verification_flags_exactly_what_a_fragment_closure_holds(rng):
     assert secure == (not any(inferable(s) for s in policy.forbidden))
 
 
+def reference_cone(policy, held):
+    """Reference: the policy's attributes, grown by full passes over ``held``
+    that add the lhs of every dependency deriving an attribute already in."""
+    cone = {attr for s in (*policy.forbidden, *policy.required) for attr in s}
+    grown = True
+    while grown:
+        grown = False
+        for dep in held:
+            if dep.rhs[0] in cone and not cone.issuperset(dep.lhs):
+                cone.update(dep.lhs)
+                grown = True
+    return cone
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_cone_masks_equal_full_closure_masks_on_the_cone(rng, composite):
+    # The verdict closes only the policy's cone.  On every cone attribute its
+    # masks must equal those of closing the whole fragments under every held
+    # dependency, and verification must agree with a plain full closure.
+    schema = (composite_key_schema if composite else random_schema)(rng)
+    pool = list(schema.attribute_names)
+    sets = [rng.sample(pool, rng.randint(1, min(3, len(pool)))) for _ in range(rng.randint(1, 4))]
+    policy = make_policy(schema, forbidden=sets[:2], required=sets[2:])
+    dfds = decompose_fds(schema.fds)
+    index = relation_index(schema, dfds)
+    if rng.random() < 0.5:
+        fragments = tuple(random_fragments(rng, schema))
+    else:
+        fragments = pipeline._split(index, policy.forbidden, 24)
+    result = DecomposedSchema(fragments, (), ())
+    held = scanned_fragment_fds(result, schema)
+    held_mask, _ = index.held_and_lost(fragments)
+    assert tuple(dfds.fds[j] for j in set_bits(held_mask)) == held
+
+    full = closure_masks([frag.attrs for frag in fragments], held)
+    cone = reference_cone(policy, held)
+    masks, unbroken, flags = pipeline._verdict(index, fragments, held_mask, policy)
+    assert set(masks) <= cone
+    assert {a: masks.get(a, 0) for a in cone} == {a: full.get(a, 0) for a in cone}
+    assert unbroken == [s for s in policy.forbidden if holders(full, s)]
+    assert flags == tuple((s, bool(holders(full, s))) for s in policy.required)
+
+    # verify_decomposition against the plain worklist closure of each fragment.
+    closures = [set(worklist_closure(frag.attrs, held)) for frag in fragments]
+
+    def inferable(attrs):
+        return any(set(attrs) <= closure for closure in closures)
+
+    assert verify_decomposition(result, schema, policy) == (
+        not any(inferable(s) for s in policy.forbidden),
+        tuple((s, inferable(s)) for s in policy.required),
+    )
+
+
 def test_verification_is_never_weaker_than_join_chains_on_composite_keys():
     # Every set a join chain of the fragment graph associates is flagged,
     # and some sets are flagged that only the union rule associates.
@@ -736,16 +793,23 @@ def test_deadline_stops_the_check_or_changes_nothing(name):
 
 
 @pytest.mark.parametrize("timeout_s", [float("nan"), float("inf"), -1])
-def test_a_limit_that_can_never_fire_is_refused(timeout_s):
+def test_a_limit_that_can_never_fire_is_refused(timeout_s, monkeypatch):
     # nan and inf would let the search run unbounded, and -1 is no limit
     # at all: each is bad input, not a timeout, as on the command line.
     instance = fixtures.cc_instance(1)
     for strategy in ("I", "II", "auto"):
         with pytest.raises(ValueError, match="timeout_s"):
             check(instance, strategy, timeout_s=timeout_s)
+    # secure_decompose refuses it at entry: no graph, no chain, no memo entry.
     schema, policy = fixtures.example_schema("example1")
+    chained = []
+    monkeypatch.setattr(pipeline, "join_chains", lambda *args: chained.append(args))
+    pipeline._base_graph.cache_clear()
     with pytest.raises(ValueError, match="timeout_s"):
         secure_decompose(schema, policy, timeout_s=timeout_s)
+    assert chained == [] and pipeline._base_graph.cache_info().currsize == 0
+    base, _ = pipeline._base_graph(preprocess_policy(schema, policy)[0])
+    assert base.chain_families == {} and base.parent_walks == {}
 
 
 def test_interleaved_schemas_match_reports_made_without_the_cache(example1, example2):
@@ -795,8 +859,76 @@ def test_each_target_is_walked_once_per_schema(monkeypatch):
     assert len(base.parent_walks) == len(walks)
 
 
+def test_each_policy_set_is_enumerated_once_per_schema_and_limits(monkeypatch):
+    # Roles on one schema whose forbidden sets recur: each distinct set is
+    # enumerated once per limits, on the first call that names it, and a
+    # second pass over the same roles enumerates nothing.
+    schema = snowflake_schema(7)
+    rng = random.Random(5)
+    policies = [snowflake_policy(rng, schema, 7, 6) for _ in range(4)]
+    sets = [s for policy in policies for s in policy.forbidden]
+    assert len(set(sets)) < len(sets)
+    pipeline._base_graph.cache_clear()
+    enumerated = count_enumerations(monkeypatch)
+    first = [secure_decompose(schema, policy) for policy in policies]
+    assert sorted(enumerated) == sorted((s, PathLimits()) for s in set(sets))
+    del enumerated[:]
+    assert [secure_decompose(schema, policy) for policy in policies] == first
+    assert enumerated == []
+    tight = PathLimits(max_path_length=3)
+    for policy in policies:
+        secure_decompose(schema, policy, tight)
+    assert sorted(enumerated) == sorted((s, tight) for s in set(sets))
+    base, _ = pipeline._base_graph(schema)
+    assert len(base.chain_families) == 2 * len(set(sets))
+    assert pipeline._base_graph.cache_info().misses == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_a_memo_hit_equals_a_fresh_enumeration(rng, composite):
+    schema = (composite_key_schema if composite else random_schema)(rng)
+    names = schema.attribute_names
+    limits = rng.choice(
+        [PathLimits(), PathLimits(max_paths_per_target=1), PathLimits(max_path_length=2)]
+    )
+    shared = build_fdg(schema)
+    sets = [rng.sample(names, rng.randint(1, min(3, len(names)))) for _ in range(4)]
+    sets += [rng.sample(s, len(s)) for s in sets]  # the same sets, reordered
+    for targets in sets:
+        hit = join_chains(shared, targets, limits)
+        assert join_chains(shared, targets, limits) is hit
+        assert hit == join_chains(build_fdg(schema), targets, limits)
+    assert set(shared.chain_families) == {(attr_set(s), limits) for s in sets}
+
+
+def test_target_order_and_duplicates_share_one_memo_entry(example1):
+    fdg = build_fdg(example1[0])
+    family = join_chains(fdg, ["F", "B"])
+    assert join_chains(fdg, ["B", "F", "B"]) is family
+    assert join_chains(fdg, ("B", "F"), PathLimits()) is family
+    assert list(fdg.chain_families) == [(("B", "F"), PathLimits())]
+    # Equal limits are one key, whichever instance carries them; distinct
+    # limits keep distinct entries.
+    tight, short = PathLimits(max_paths_per_target=1), PathLimits(max_path_length=1)
+    assert join_chains(fdg, ["B", "F"], tight) is join_chains(
+        fdg, ["F", "B"], PathLimits(max_paths_per_target=1)
+    )
+    join_chains(fdg, ["F", "B"], short)
+    want = {(("B", "F"), limits) for limits in (PathLimits(), tight, short)}
+    assert set(fdg.chain_families) == want
+
+
+def test_an_unknown_target_raises_on_every_call_and_stores_nothing(example1):
+    fdg = build_fdg(example1[0])
+    for _ in range(2):
+        with pytest.raises(SchemaError, match="unknown target attribute 'nope'"):
+            join_chains(fdg, ["F", "nope"])
+    assert fdg.chain_families == {} and fdg.parent_walks == {}
+
+
 def test_truncated_report_repeats_on_a_memo_hit(example2, monkeypatch):
-    # The truncation flag lives in the memoised walk: a repeated call must
+    # The truncation flag lives in the memoised family: a repeated call must
     # warn exactly as the first, and as a call on a cleared cache.
     schema, policy = example2
     tight = PathLimits(max_paths_per_target=1)
@@ -804,9 +936,12 @@ def test_truncated_report_repeats_on_a_memo_hit(example2, monkeypatch):
     first = secure_decompose(schema, policy, tight)
     assert any("truncated" in w for w in first.warnings)
     walks = count_walks(monkeypatch)
+    enumerated = count_enumerations(monkeypatch)
     again = secure_decompose(schema, policy, PathLimits(max_paths_per_target=1))
     base, _ = pipeline._base_graph(schema)
     assert id(base.parent_edges) not in {adjacency for adjacency, _, _ in walks}
+    assert enumerated == []
+    assert any(family.truncated for family in base.chain_families.values())
     pipeline._base_graph.cache_clear()
     fresh = secure_decompose(schema, policy, tight)
     assert again == first == fresh
